@@ -22,6 +22,7 @@ from . import emit
 from .connectivity import (
     ConnectivityOracle,
     Graph,
+    bits_list,
     cut_rank_fn,
     edge_boundary_fn,
     matroid_connectivity_fn,
@@ -137,22 +138,11 @@ def cmd_tangles(args) -> int:
         print(f"order {k}: {len(indices)} tangle(s)")
         for i in indices:
             sig = ds.tangle(i).signature
-            shown = ["{" + ",".join(oracle.ground.label(e) for e in _bits(s)) + "}" for s in sig]
+            shown = ["{" + ",".join(oracle.ground.label(e) for e in bits_list(s)) + "}" for s in sig]
             print(f"  index {i}: signature [{', '.join(shown)}]")
     print(f"total (size({args.order})): {ds.size(args.order)}")
     _print_stats(args, oracle)
     return EXIT_OK
-
-
-def _bits(mask: int) -> List[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def cmd_branchwidth(args) -> int:

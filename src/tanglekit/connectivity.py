@@ -224,7 +224,7 @@ class ConnectivityOracle:
     def cache(self, key: str) -> dict:
         d = self.caches.get(key)
         if d is None:
-            d = self.caches[key] = {}
+            d = self.caches.setdefault(key, {})
         return d
 
     def __repr__(self) -> str:

@@ -32,11 +32,13 @@ def _subtree_codes(adj, labels):
     return code
 
 
-def _canonical_order(adj, labels) -> List[int]:
-    """Nodes in canonical DFS order from a code-minimal center."""
+def canonical_root(adj, labels):
+    """A code-minimal center of a labeled tree, and its subtree-code function.
+
+    ``code(root, None)`` is a canonical code of the whole tree: two labeled
+    trees are isomorphic exactly when their root codes are equal.
+    """
     nodes = sorted(adj)
-    if len(nodes) == 1:
-        return nodes
     code = _subtree_codes(adj, labels)
     degree = {t: len(adj[t]) for t in nodes}
     alive = set(nodes)
@@ -46,7 +48,12 @@ def _canonical_order(adj, labels) -> List[int]:
             for u in adj[t]:
                 if u in alive:
                     degree[u] -= 1
-    root = min(alive, key=lambda t: code(t, None))
+    return min(alive, key=lambda t: code(t, None)), code
+
+
+def _canonical_order(adj, labels) -> List[int]:
+    """Nodes in canonical DFS order from a code-minimal center."""
+    root, code = canonical_root(adj, labels)
     order: List[int] = []
 
     def walk(t, parent):

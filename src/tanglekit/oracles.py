@@ -16,11 +16,13 @@ from .connectivity import (
     ConnectivityOracle,
     Graph,
     GroundSet,
+    bits_list,
     cut_rank_fn,
     edge_boundary_fn,
     matroid_connectivity_fn,
 )
 from .decomposition import PartialDecomposition, branch_decomposition_from_leaf_sets
+from .emit import canonical_root
 from .errors import SizeGuardError, StructuralError
 from .tangles import ExplicitTangle
 
@@ -289,29 +291,6 @@ def apply_perm(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _tree_code(adj: Dict[int, Tuple[int, ...]], labels: Dict[int, tuple]) -> tuple:
-    """Canonical code of a labeled unrooted tree (minimum over center roots)."""
-
-    def encode(t: int, parent: Optional[int]) -> tuple:
-        subs = sorted(encode(u, t) for u in adj[t] if u != parent)
-        return (labels[t], tuple(subs))
-
-    nodes = set(adj)
-    if len(nodes) == 1:
-        (only,) = nodes
-        return encode(only, None)
-    degree = {t: len(adj[t]) for t in nodes}
-    alive = set(nodes)
-    while len(alive) > 2:
-        shed = [t for t in alive if degree[t] == 1]
-        for t in shed:
-            alive.discard(t)
-            for u in adj[t]:
-                if u in alive:
-                    degree[u] -= 1
-    return min(encode(c, None) for c in alive)
-
-
 def decomposition_code(ttd, perm: Optional[Sequence[int]] = None) -> tuple:
     """Isomorphism-invariant code of (tree, bags, tangle orders), with bags
     optionally pushed through a permutation first."""
@@ -322,8 +301,9 @@ def decomposition_code(ttd, perm: Optional[Sequence[int]] = None) -> tuple:
     labels = {}
     for t in td.nodes():
         bag = td.bags[t] if perm is None else apply_perm(td.bags[t], perm)
-        labels[t] = (tuple(sorted(oracle_elements(bag))), order_at.get(t, -1))
-    return _tree_code(td.adj, labels)
+        labels[t] = (tuple(bits_list(bag)), order_at.get(t, -1))
+    root, code = canonical_root(td.adj, labels)
+    return code(root, None)
 
 
 def directed_code(dtd, perm: Optional[Sequence[int]] = None) -> tuple:
@@ -331,20 +311,9 @@ def directed_code(dtd, perm: Optional[Sequence[int]] = None) -> tuple:
         cone = dtd.gamma[t] if perm is None else apply_perm(dtd.gamma[t], perm)
         order = dtd.tangles[{v: k for k, v in dtd.tau.items()}[t]].order
         subs = sorted(encode(u) for u in dtd.children[t])
-        return (tuple(sorted(oracle_elements(cone))), order, tuple(subs))
+        return (tuple(bits_list(cone)), order, tuple(subs))
 
     return encode(dtd.root)
-
-
-def oracle_elements(mask: int) -> List[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 @dataclass

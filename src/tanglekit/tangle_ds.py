@@ -14,6 +14,7 @@ oracle but *not* canonical: relabeling the ground set may permute indices.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List, Optional, Tuple
 
 from .bases import enumerate_bases
@@ -24,7 +25,6 @@ from .tangles import (
     _context,
     has_tangle_of_order,
     leftmost_tangle_separation,
-    minimal_member_in_box,
     minimal_member_in_lattice,
 )
 
@@ -85,13 +85,14 @@ class TangleDataStructure:
     """Comprehensive access to all tangles of order up to ``order()``.
 
     Lower levels are shared, not copied: extending the structure to a higher
-    order appends levels in place.
+    order appends levels in place, one thread at a time.  Queries on levels
+    already built take no lock.
     """
 
     def __init__(self, oracle: ConnectivityOracle):
         self.oracle = oracle
         self.levels: List[_Level] = [_Level(0, ("leaf", 0), [()])]
-        self.integrity_notes: List[str] = []
+        self._build_lock = threading.RLock()
 
     # --- bookkeeping
 
@@ -99,8 +100,10 @@ class TangleDataStructure:
         return len(self.levels) - 1
 
     def ensure(self, k: int) -> "TangleDataStructure":
-        while self.order() < k:
-            self.levels.append(_build_level(self.oracle, self.order() + 1))
+        if self.order() < k:
+            with self._build_lock:
+                while self.order() < k:
+                    self.levels.append(_build_level(self.oracle, self.order() + 1))
         return self
 
     def size(self, k: int) -> int:
@@ -182,48 +185,12 @@ class TangleDataStructure:
         """Leftmost minimum separation between tangles i and j.
 
         None when one tangle is a truncation of the other.  Computed from the
-        definition (base scan); the distinction-tree shortcut is evaluated as
-        a cross-check and any disagreement is recorded in integrity_notes.
+        definition by ``leftmost_tangle_separation``: the least member of
+        tangle i of minimum order whose complement lies in tangle j.
         """
         if i == j:
             raise DomainError("separation requires two distinct indices")
-        result = leftmost_tangle_separation(self.tangle(i), self.tangle(j))
-        shortcut = self._separation_via_tree(i, j)
-        if shortcut != result:
-            self.integrity_notes.append(
-                f"sep({i},{j}): tree shortcut gave {shortcut!r}, definition gave {result!r}"
-            )
-        return result
-
-    def _separation_via_tree(self, i: int, j: int) -> Optional[int]:
-        m = min(self.tangle_order(i), self.tangle_order(j))
-        i2 = self.truncation(i, m)
-        j2 = self.truncation(j, m)
-        if i2 == j2:
-            return None
-        level = self.levels[m]
-        base = self.size(m - 1)
-        target_i, target_j = i2 - base - 1, j2 - base - 1
-
-        def leaves_under(node) -> range:
-            while node[0] == "split":
-                node = node[2]
-            lo = node[1]
-            return lo
-
-        # descend to the least common ancestor of the two leaves
-        node = level.tree
-        while node[0] == "split":
-            _, sep, contains, avoids = node
-            split_at = leaves_under(avoids)
-            side_i = target_i >= split_at
-            side_j = target_j >= split_at
-            if side_i != side_j:
-                x = (self.oracle.ground.full_mask & ~sep) if side_i else sep
-                ti = self.tangle(i2)
-                return minimal_member_in_box(self.oracle, ti.member, 0, x, m - 1)
-            node = avoids if side_i else contains
-        return None
+        return leftmost_tangle_separation(self.tangle(i), self.tangle(j))
 
     # --- serialization
 
@@ -278,9 +245,12 @@ class TangleDataStructure:
 
 
 def build_structure(oracle: ConnectivityOracle, k: int) -> TangleDataStructure:
-    """The (cached, shared) tangle structure of this oracle, built to order k."""
+    """The (cached, shared) tangle structure of this oracle, built to order k.
+
+    Safe to call from several threads: all callers get the same structure.
+    """
     ds = oracle.caches.get("tangle_ds")
     if ds is None:
-        ds = TangleDataStructure(oracle)
-        oracle.caches["tangle_ds"] = ds
+        # setdefault is atomic, so racing callers agree on one structure.
+        ds = oracle.caches.setdefault("tangle_ds", TangleDataStructure(oracle))
     return ds.ensure(k)

@@ -99,12 +99,10 @@ class AvoidContext:
         order: int,
         avoids: Tuple[int, ...] = (),
         base_tangle: Optional[Tangle] = None,
-        batched: bool = True,
     ):
         self.oracle = oracle
         self.order = order
         self.full = oracle.ground.full_mask
-        self.batched = batched
         self.bases: List[Base] = enumerate_bases(oracle, order - 1)
         mu = [0] * len(self.bases)
         self._seed_singletons(mu)
@@ -193,10 +191,6 @@ class AvoidContext:
                 for w in windows:
                     if self._violation_update(mu, i, base, w):
                         changed = True
-                        if not self.batched:
-                            break
-                if changed and not self.batched:
-                    break
             if not changed or self._covered(mu):
                 return
 
@@ -225,14 +219,13 @@ def _context(
     order: int,
     avoids: Tuple[int, ...],
     base_tangle: Optional[Tangle] = None,
-    batched: bool = True,
 ) -> AvoidContext:
     cache = oracle.cache("avoid_ctx")
     base_key = None if base_tangle is None else (base_tangle.order, base_tangle.signature)
-    key = (order, frozenset(avoids), base_key, batched)
+    key = (order, frozenset(avoids), base_key)
     ctx = cache.get(key)
     if ctx is None:
-        ctx = AvoidContext(oracle, order, avoids, base_tangle, batched)
+        ctx = AvoidContext(oracle, order, avoids, base_tangle)
         cache[key] = ctx
     return ctx
 
@@ -242,7 +235,6 @@ def exists_tangle_avoiding(
     order: int,
     avoid: Sequence[int] = (),
     base_tangle: Optional[Tangle] = None,
-    batched: bool = True,
 ) -> bool:
     """Is there a tangle of ``order`` extending ``base_tangle`` that avoids
     (the down-closures of) every set in ``avoid``?
@@ -259,7 +251,7 @@ def exists_tangle_avoiding(
         # Extending a tangle of the same order: it is its own extension iff it
         # avoids the given sets.
         return all(not base_tangle.member(a) for a in avoid) if avoid else True
-    ctx = _context(oracle, order, tuple(sorted(set(avoid))), base_tangle, batched)
+    ctx = _context(oracle, order, tuple(sorted(set(avoid))), base_tangle)
     return ctx.exists(())
 
 
@@ -290,13 +282,16 @@ def _caterpillar_width(oracle: ConnectivityOracle) -> int:
 
 
 def max_tangle_order(oracle: ConnectivityOracle) -> int:
-    """The largest k admitting a tangle of order k (equals the branch width)."""
-    cap = _caterpillar_width(oracle) + 1
+    """The largest k admitting a tangle of order k (equals the branch width).
+
+    Scans orders upward and stops at the caterpillar width w: by branch-width
+    duality no tangle has order above the width of any branch decomposition,
+    so order w + 1 is never tested.
+    """
+    cap = _caterpillar_width(oracle)
     k = 0
     while k < cap and has_tangle_of_order(oracle, k + 1):
         k += 1
-    if k >= cap and has_tangle_of_order(oracle, k + 1):
-        raise StructuralError("tangle order exceeded its duality bound")
     return k
 
 

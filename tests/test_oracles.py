@@ -5,6 +5,7 @@ import pytest
 from tanglekit import (
     SizeGuardError,
     build_structure,
+    has_tangle_of_order,
     max_tangle_order,
 )
 from tanglekit.connectivity import ConnectivityOracle, GroundSet
@@ -102,6 +103,7 @@ def test_random_agreement_sweep():
     for name, oracle in random_instances(2024, 100):
         n = oracle.ground.n
         top = max_tangle_order(oracle)
+        assert not has_tangle_of_order(oracle, top + 1), name
         if n <= 7:
             assert brute_force_branch_width(oracle) == top, name
         if n <= 8:

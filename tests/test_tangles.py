@@ -2,12 +2,14 @@
 
 import pytest
 
+from conftest import grid3_graph
 from tanglekit import (
     Base,
     DomainError,
     OutOfOrderError,
     build_structure,
     check_axioms,
+    edge_boundary_fn,
     empty_tangle,
     exists_tangle_avoiding,
     has_tangle_of_order,
@@ -173,21 +175,6 @@ def test_exists_tangle_avoiding_monotone(triforce):
         state = answer
 
 
-def test_batched_and_single_step_agree(triforce, p3, k4, c5rank):
-    """The one-violation-at-a-time variant reaches the same answers."""
-    for oracle in (triforce.oracle, p3, k4, c5rank):
-        full = oracle.ground.full_mask
-        top = max_tangle_order(oracle)
-        for k in range(top + 2):
-            assert exists_tangle_avoiding(oracle, k) == exists_tangle_avoiding(
-                oracle, k, batched=False
-            )
-        low = [x for x in range(full + 1) if 0 < oracle.evaluate(x) <= top][:3]
-        for x in low:
-            assert exists_tangle_avoiding(oracle, top + 1, [x] if oracle.evaluate(x) <= top else []) == \
-                exists_tangle_avoiding(oracle, top + 1, [x], batched=False)
-
-
 def test_has_tangle_of_order(p3, k4):
     assert not has_tangle_of_order(p3, 2)
     assert has_tangle_of_order(k4, 3)
@@ -202,6 +189,13 @@ def test_max_tangle_order_fixtures(triforce, p3, k4, grid3, c5rank):
     assert brute_force_branch_width(p3) == 1
     assert brute_force_branch_width(k4) == 3
     assert brute_force_branch_width(c5rank) == 2
+
+
+def test_max_tangle_order_stops_at_caterpillar_width():
+    """The 3x3 grid's caterpillar has width 3, so no order-4 fixpoint runs."""
+    oracle = edge_boundary_fn(grid3_graph())
+    assert max_tangle_order(oracle) == 3
+    assert 3 not in oracle.cache("bases")
 
 
 def test_leftmost_tangle_separation_triforce(triforce):
