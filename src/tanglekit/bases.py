@@ -10,8 +10,9 @@ share the order kappa_min(B1, B2), so
 
 which is closed under intersection and union.  Its least and greatest
 members are therefore the leftmost and rightmost minimum (B1, B2)-
-separations.  Bases of bounded order are the search skeleton for every
-tangle algorithm in this library.
+separations, which the box minimizer returns with the minimum itself, so
+reading either is one cached ``box_min`` lookup.  Bases of bounded order are
+the search skeleton for every tangle algorithm in this library.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List
 
 from .connectivity import ConnectivityOracle, iter_bits
 from .errors import DomainError
-from .separations import box_min, kappa_min, leftmost_min_in_box, rightmost_min_in_box
+from .separations import box_min, kappa_min
 
 
 @dataclass(frozen=True)
@@ -112,28 +113,14 @@ def _check_base(oracle: ConnectivityOracle, base: Base) -> None:
 
 
 def lattice_bottom(oracle: ConnectivityOracle, base: Base) -> int:
-    """The inclusion-least member of L(base).
-
-    Every member is a minimum (b1, b2)-separation, so the least member is the
-    leftmost minimum separation; cached per oracle.
-    """
+    """The inclusion-least member of L(base): the leftmost minimum
+    (b1, b2)-separation."""
     _check_base(oracle, base)
-    cache = oracle.cache("lattice_bottom")
-    key = (base.b1, base.b2)
-    hit = cache.get(key)
-    if hit is None:
-        hit = leftmost_min_in_box(oracle, base.b1, oracle.ground.complement(base.b2))
-        cache[key] = hit
-    return hit
+    return box_min(oracle, base.b1, oracle.ground.complement(base.b2))[1]
 
 
 def lattice_top(oracle: ConnectivityOracle, base: Base) -> int:
-    """The inclusion-greatest member of L(base)."""
+    """The inclusion-greatest member of L(base): the rightmost minimum
+    (b1, b2)-separation."""
     _check_base(oracle, base)
-    cache = oracle.cache("lattice_top")
-    key = (base.b1, base.b2)
-    hit = cache.get(key)
-    if hit is None:
-        hit = rightmost_min_in_box(oracle, base.b1, oracle.ground.complement(base.b2))
-        cache[key] = hit
-    return hit
+    return box_min(oracle, base.b1, oracle.ground.complement(base.b2))[2]

@@ -30,11 +30,12 @@ from .connectivity import (
     vertex_cut_fn,
 )
 from .decomposition import (
+    TangleTreeDecomposition,
     canonical_decomposition,
     directed_decomposition,
-    maximal_indices,
     refine_single_tangle,
     verify_directed_decomposition,
+    verify_refined_decomposition,
     verify_tree_decomposition,
 )
 from .errors import DomainError, ParseError, SizeGuardError
@@ -163,8 +164,6 @@ def cmd_decompose(args) -> int:
     oracle = _load(args)
     if args.refined:
         td = refine_single_tangle(oracle, args.order)
-        from .decomposition import TangleTreeDecomposition
-
         doc = emit.tree_decomposition_document(
             oracle, TangleTreeDecomposition(td, {}, {}, None), args.order, refined=True
         )
@@ -200,20 +199,11 @@ def cmd_verify(args) -> int:
         raise ParseError("not a decomposition document")
     order = doc["order"]
     if doc["kind"] == "tree" and doc.get("refined"):
-        from .decomposition import TangleTreeDecomposition, VerificationReport, contract_at
-
         td = refine_single_tangle(oracle, order)
         fresh = emit.tree_decomposition_document(
             oracle, TangleTreeDecomposition(td, {}, {}, None), order, refined=True
         )
-        problems = []
-        if td.adhesion(oracle) >= order and len(td.nodes()) > 1:
-            problems.append("adhesion is not below the order")
-        for t in td.nodes():
-            sub = build_structure(contract_at(oracle, td, t).oracle, order)
-            if len(maximal_indices(sub, order)) != 1:
-                problems.append(f"contraction at node {t} does not have exactly one maximal tangle")
-        report = VerificationReport(not problems, problems)
+        report = verify_refined_decomposition(oracle, td, order)
         same = fresh == doc
     elif doc["kind"] == "tree":
         ttd = canonical_decomposition(oracle, order)

@@ -734,42 +734,6 @@ def refine_single_tangle(oracle: ConnectivityOracle, order: int) -> TreeDecompos
     return nested_to_tree(oracle.ground, family)
 
 
-def graph_tree_decomposition(graph, td: TreeDecomposition) -> Dict[int, frozenset]:
-    """Vertex bags of a graph corresponding to an edge-set decomposition.
-
-    Documented convenience for edge-boundary instances (the ground set is
-    E(G)): a vertex lands in every node whose bag carries one of its edges,
-    plus all nodes on paths between those, which makes the vertex bags form
-    subtrees.  Not a verified core feature; no width guarantees.
-    """
-    incidence = graph.incidence_masks()
-    nodes = td.nodes()
-    out = {t: set() for t in nodes}
-    for v in range(graph.n):
-        hosts = [t for t in nodes if td.bags[t] & incidence[v]]
-        if not hosts:
-            continue
-        keep = set(hosts)
-        anchor = hosts[0]
-        for other in hosts[1:]:
-            # walk the tree path from anchor to other
-            prev = {anchor: None}
-            frontier = [anchor]
-            while frontier:
-                x = frontier.pop()
-                for y in td.adj[x]:
-                    if y not in prev:
-                        prev[y] = x
-                        frontier.append(y)
-            walk = other
-            while walk is not None:
-                keep.add(walk)
-                walk = prev[walk]
-        for t in keep:
-            out[t].add(v)
-    return {t: frozenset(vs) for t, vs in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # Directed decompositions.
 
@@ -1104,6 +1068,22 @@ def verify_directed_decomposition(dtd: DirectedTreeDecomposition) -> Verificatio
                 f"cone of node {t} is not a leftmost minimum separation "
                 "toward any non-descendant tangle"
             )
+    return _report(v)
+
+
+def verify_refined_decomposition(
+    oracle: ConnectivityOracle, td: TreeDecomposition, order: int
+) -> VerificationReport:
+    """Literal check of the refinement conditions: adhesion below the order
+    (for more than one node), and exactly one maximal tangle of order <= order
+    in the contraction at every node."""
+    v: List[str] = []
+    if td.adhesion(oracle) >= order and len(td.nodes()) > 1:
+        v.append("adhesion is not below the order")
+    for t in td.nodes():
+        sub = build_structure(contract_at(oracle, td, t).oracle, order)
+        if len(maximal_indices(sub, order)) != 1:
+            v.append(f"contraction at node {t} does not have exactly one maximal tangle")
     return _report(v)
 
 

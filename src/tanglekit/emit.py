@@ -91,8 +91,7 @@ def tree_decomposition_document(
     edges = []
     for s, t in td.edges():
         a, b = sorted((rename[s], rename[t]))
-        inv = {v: k for k, v in rename.items()}
-        sep = td.edge_sep(inv[a], inv[b])
+        sep = td.edge_sep(ordering[a], ordering[b])
         edges.append(
             {
                 "a": a,
@@ -122,22 +121,12 @@ def directed_decomposition_document(
 ) -> dict:
     tangle_at = {node: i for i, node in dtd.tau.items()}
     bags = dtd.bags()
-
-    code_cache: Dict[int, tuple] = {}
-
-    def code(t):
-        got = code_cache.get(t)
-        if got is None:
-            subs = sorted(code(u) for u in dtd.children[t])
-            got = (tuple(bits_list(dtd.gamma[t])), tuple(subs))
-            code_cache[t] = got
-        return got
-
+    code = _subtree_codes(dtd.children, {t: tuple(bits_list(dtd.gamma[t])) for t in dtd.children})
     ordering: List[int] = []
 
     def walk(t):
         ordering.append(t)
-        for u in sorted(dtd.children[t], key=code):
+        for u in sorted(dtd.children[t], key=lambda u: code(u, t)):
             walk(u)
 
     walk(dtd.root)

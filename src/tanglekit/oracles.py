@@ -22,7 +22,7 @@ from .connectivity import (
     matroid_connectivity_fn,
 )
 from .decomposition import PartialDecomposition, branch_decomposition_from_leaf_sets
-from .emit import canonical_root
+from .emit import _subtree_codes, canonical_root
 from .errors import SizeGuardError, StructuralError
 from .tangles import ExplicitTangle
 
@@ -307,13 +307,13 @@ def decomposition_code(ttd, perm: Optional[Sequence[int]] = None) -> tuple:
 
 
 def directed_code(dtd, perm: Optional[Sequence[int]] = None) -> tuple:
-    def encode(t: int) -> tuple:
+    """Isomorphism-invariant code of (rooted tree, cones, tangle orders), with
+    cones optionally pushed through a permutation first."""
+    labels = {}
+    for i, t in dtd.tau.items():
         cone = dtd.gamma[t] if perm is None else apply_perm(dtd.gamma[t], perm)
-        order = dtd.tangles[{v: k for k, v in dtd.tau.items()}[t]].order
-        subs = sorted(encode(u) for u in dtd.children[t])
-        return (tuple(bits_list(cone)), order, tuple(subs))
-
-    return encode(dtd.root)
+        labels[t] = (tuple(bits_list(cone)), dtd.tangles[i].order)
+    return _subtree_codes(dtd.children, labels)(dtd.root, None)
 
 
 @dataclass

@@ -3,20 +3,21 @@
 kappa_min(X, Y) is the minimum of kappa over the "box" of all Z with
 X subset-of Z subset-of complement(Y).  Minimum separations in a box are
 closed under intersection and union (submodularity), so there is a unique
-inclusion-least one (leftmost) and a unique inclusion-greatest one
-(rightmost).
+inclusion-least one (leftmost), the intersection of all minimizers, and a
+unique inclusion-greatest one (rightmost), their union.
 
 The minimizer is pluggable: an oracle may carry a ``minimizer`` attribute
-``fn(oracle, lo, hi) -> (value, witness)`` minimizing kappa over the box
-[lo, hi].  The bundled default is an exhaustive scan of the free positions,
-guarded at FREE_LIMIT bits, which covers all desk-scale targets.
+``fn(oracle, lo, hi) -> (value, leftmost, rightmost)`` giving the minimum of
+kappa over the box [lo, hi] and its least and greatest minimizers.  The
+bundled default is one exhaustive scan of the free positions, guarded at
+FREE_LIMIT bits, which covers all desk-scale targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import ConnectivityOracle, iter_bits
+from .connectivity import ConnectivityOracle
 from .errors import DomainError, SizeGuardError
 
 FREE_LIMIT = 22
@@ -37,22 +38,24 @@ def _exhaustive_box_min(oracle: ConnectivityOracle, lo: int, hi: int):
         )
     get = oracle.value_getter()
     best = get(lo)
-    best_set = lo
+    left = right = lo
     sub = free
     while sub:
         z = lo | sub
         v = get(z)
         if v < best:
             best = v
-            best_set = z
-            if v == 0:
-                break
+            left = right = z
+        elif v == best:
+            left &= z
+            right |= z
         sub = (sub - 1) & free
-    return best, best_set
+    return best, left, right
 
 
 def box_min(oracle: ConnectivityOracle, lo: int, hi: int):
-    """(min kappa(Z), witness) over lo <= Z <= hi, or None if the box is empty.
+    """(min kappa(Z), leftmost, rightmost) over lo <= Z <= hi, or None if the
+    box is empty.
 
     Results are cached per oracle; the cache is sound because oracles are
     immutable.
@@ -71,7 +74,8 @@ def box_min(oracle: ConnectivityOracle, lo: int, hi: int):
 
 
 def kappa_min(oracle: ConnectivityOracle, x: int, y: int) -> MinSeparationResult:
-    """Minimize kappa over all Z with x <= Z <= complement(y).
+    """Minimize kappa over all Z with x <= Z <= complement(y); the witness is
+    the leftmost minimizer.
 
     x and y must be disjoint subsets of the oracle's ground set.
     """
@@ -80,26 +84,13 @@ def kappa_min(oracle: ConnectivityOracle, x: int, y: int) -> MinSeparationResult
     ground = oracle.ground
     if not (ground.contains_mask(x) and ground.contains_mask(y)):
         raise DomainError("subset mask outside this oracle's ground set")
-    value, witness = box_min(oracle, x, ground.complement(y))
-    return MinSeparationResult(value, witness)
+    value, leftmost, _ = box_min(oracle, x, ground.complement(y))
+    return MinSeparationResult(value, leftmost)
 
 
 def leftmost_min_in_box(oracle: ConnectivityOracle, lo: int, hi: int) -> int:
-    """The inclusion-least Z with lo <= Z <= hi and kappa(Z) minimal.
-
-    Computed by iterative pinning: an element u can be excluded exactly when
-    some minimum separation of the current box avoids u; since minimum
-    separations are intersection-closed, greedily excluding every such u
-    converges to the unique least one.
-    """
-    value, _ = box_min(oracle, lo, hi)
-    cur_hi = hi
-    for u in iter_bits(hi & ~lo):
-        bit = 1 << u
-        shrunk = box_min(oracle, lo, cur_hi & ~bit)
-        if shrunk is not None and shrunk[0] == value:
-            cur_hi &= ~bit
-    return cur_hi
+    """The inclusion-least Z with lo <= Z <= hi and kappa(Z) minimal."""
+    return box_min(oracle, lo, hi)[1]
 
 
 def leftmost_min_separation(oracle: ConnectivityOracle, x: int, y: int) -> int:
@@ -110,20 +101,12 @@ def leftmost_min_separation(oracle: ConnectivityOracle, x: int, y: int) -> int:
 
 
 def rightmost_min_separation(oracle: ConnectivityOracle, x: int, y: int) -> int:
-    """The unique minimum (x, y)-separation containing all others.
-
-    Equals the complement of the leftmost minimum (y, x)-separation.
-    """
-    return oracle.ground.complement(leftmost_min_separation(oracle, y, x))
+    """The unique minimum (x, y)-separation containing all others."""
+    if x & y:
+        raise DomainError("rightmost_min_separation requires disjoint subsets")
+    return rightmost_min_in_box(oracle, x, oracle.ground.complement(y))
 
 
 def rightmost_min_in_box(oracle: ConnectivityOracle, lo: int, hi: int) -> int:
     """The inclusion-greatest Z with lo <= Z <= hi and kappa(Z) minimal."""
-    value, _ = box_min(oracle, lo, hi)
-    cur_lo = lo
-    for u in iter_bits(hi & ~lo):
-        bit = 1 << u
-        grown = box_min(oracle, cur_lo | bit, hi)
-        if grown is not None and grown[0] == value:
-            cur_lo |= bit
-    return cur_lo
+    return box_min(oracle, lo, hi)[2]

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .bases import Base, enumerate_bases, lattice_bottom, lattice_top
+from .bases import Base, enumerate_bases
 from .connectivity import ConnectivityOracle, bits_list, iter_bits
 from .errors import DomainError, OutOfOrderError, SizeGuardError, StructuralError
-from .separations import box_min, leftmost_min_in_box, rightmost_min_in_box
+from .separations import box_min
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,9 @@ class AvoidContext:
         # Greatest lattice member inside the avoided set, per base.
         oracle = self.oracle
         for i, base in enumerate(self.bases):
-            hi = avoid_mask & ~base.b2
-            if base.b1 & ~hi:
-                continue
-            r = box_min(oracle, base.b1, hi)
-            if r is None or r[0] != base.order:
-                continue
-            mu[i] |= rightmost_min_in_box(oracle, base.b1, hi)
+            r = box_min(oracle, base.b1, avoid_mask & ~base.b2)
+            if r is not None and r[0] == base.order:
+                mu[i] |= r[2]
 
     def _seed_base_tangle(self, mu, base_tangle: Tangle) -> None:
         # Complement of the least member of base_tangle within L(b2, b1);
@@ -167,16 +163,15 @@ class AvoidContext:
         return False
 
     def _violation_update(self, mu, i: int, base: Base, window: int) -> bool:
-        if window & ~mu[i] == 0:
-            return False
-        oracle = self.oracle
         hi = window & ~base.b2
-        if base.b1 & ~hi:
+        # Most windows leave the box empty (on the 3x3 grid, 15.6 M of 17 M);
+        # testing that inline spares box_min those calls.
+        if window & ~mu[i] == 0 or base.b1 & ~hi:
             return False
-        r = box_min(oracle, base.b1, hi)
-        if r is None or r[0] != base.order:
+        r = box_min(self.oracle, base.b1, hi)
+        if r[0] != base.order:
             return False
-        y = rightmost_min_in_box(oracle, base.b1, hi)
+        y = r[2]
         if y & ~mu[i]:
             mu[i] |= y
             return True
@@ -389,19 +384,13 @@ def minimal_member_in_lattice(
     lattice iff it contains the lattice top, and the lattice bottom, when a
     member, is the global minimum.
     """
-    oracle_full = oracle.ground.full_mask
-    hi = (oracle_full & ~base.b2) & (oracle_full if within is None else within)
-    if base.b1 & ~hi:
+    hi = oracle.ground.complement(base.b2)
+    if within is not None:
+        hi &= within
+    r = box_min(oracle, base.b1, hi)
+    if r is None or r[0] != base.order:
         return None
-    if within is None:
-        top = lattice_top(oracle, base)
-        bottom = lattice_bottom(oracle, base)
-    else:
-        r = box_min(oracle, base.b1, hi)
-        if r is None or r[0] != base.order:
-            return None
-        top = rightmost_min_in_box(oracle, base.b1, hi)
-        bottom = leftmost_min_in_box(oracle, base.b1, hi)
+    _, bottom, top = r
     if not member(top):
         return None
     if bottom == top or member(bottom):

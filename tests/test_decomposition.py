@@ -448,19 +448,13 @@ def test_prune_empty_hubs(triforce):
     assert len(prune_empty_hubs(td, protected={1}).nodes()) == 3
 
 
-def test_graph_tree_decomposition_utility(triforce):
-    from tanglekit.decomposition import graph_tree_decomposition
+def test_verify_refined_decomposition(triforce):
+    from tanglekit.decomposition import TreeDecomposition, verify_refined_decomposition
 
-    ttd = canonical_decomposition(triforce.oracle, 2)
-    vertex_bags = graph_tree_decomposition(triforce.graph, ttd.td)
-    hub = next(t for t in ttd.td.nodes() if ttd.td.bags[t] == 0)
-    # the shared hub vertex 0 appears in every leaf bag; each triangle's
-    # private vertices appear only at its own leaf
-    for t, bag in vertex_bags.items():
-        if t == hub:
-            continue
-        assert 0 in bag and len(bag) == 3
-    covered = set()
-    for bag in vertex_bags.values():
-        covered |= bag
-    assert covered == set(range(7))
+    oracle = triforce.oracle
+    assert verify_refined_decomposition(oracle, refine_single_tangle(oracle, 2), 2).ok
+    # one node: its contraction is the whole triforce, with three maximal tangles
+    single = TreeDecomposition(oracle.ground, {0: ()}, {0: triforce.full})
+    report = verify_refined_decomposition(oracle, single, 2)
+    assert not report.ok
+    assert report.violations == ["contraction at node 0 does not have exactly one maximal tangle"]

@@ -17,7 +17,7 @@ from tanglekit.oracles import (
     permuted_oracle,
     random_instances,
 )
-from tanglekit.separations import leftmost_min_in_box
+from tanglekit.separations import leftmost_min_in_box, rightmost_min_in_box
 from tanglekit.tangles import check_axioms
 
 
@@ -57,13 +57,24 @@ def test_brute_branch_width_tiny():
     assert max_tangle_order(single) == 0
 
 
-def test_brute_leftmost_matches_fast(k4):
-    full = k4.ground.full_mask
-    for lo in (0, 0b000001, 0b000011):
-        for hi in (full, full & ~0b100000):
-            if lo & ~hi:
-                continue
-            assert brute_force_leftmost_in_box(k4, lo, hi) == leftmost_min_in_box(k4, lo, hi)
+def test_brute_leftmost_matches_fast(k4, c5rank):
+    """Every box: leftmost against the brute-force meet of the minimizers, and
+    rightmost against the complement of the brute-force leftmost in the
+    complementary box (kappa is symmetric)."""
+    for oracle in (k4, c5rank):
+        full = oracle.ground.full_mask
+        for hi in range(full + 1):
+            lo = hi
+            while True:
+                assert leftmost_min_in_box(oracle, lo, hi) == brute_force_leftmost_in_box(
+                    oracle, lo, hi
+                )
+                assert rightmost_min_in_box(oracle, lo, hi) == full & ~brute_force_leftmost_in_box(
+                    oracle, full & ~hi, full & ~lo
+                )
+                if lo == 0:
+                    break
+                lo = (lo - 1) & hi
 
 
 def test_random_instances_reproducible():

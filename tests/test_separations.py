@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tanglekit import (
     DomainError,
+    MinSeparationResult,
     kappa_min,
     leftmost_min_separation,
     rightmost_min_separation,
@@ -144,7 +145,8 @@ def test_permutation_equivariance(seed, pair_bits):
 
 
 def test_minimizer_hook(triforce):
-    """A pluggable minimizer replaces the exhaustive default."""
+    """A pluggable minimizer replaces the exhaustive default, and the leftmost
+    and rightmost separations are read from its (value, leftmost, rightmost)."""
     from tanglekit.connectivity import edge_boundary_fn
     from tanglekit.separations import _exhaustive_box_min
 
@@ -158,7 +160,18 @@ def test_minimizer_hook(triforce):
     oracle.minimizer = counting_minimizer
     a, b = triforce.edge(0, 1), triforce.edge(0, 3)
     assert kappa_min(oracle, a, b).value == 1
-    assert calls
+    assert calls == [(a, triforce.full & ~b)]
+
+    # A hook that answers the box corners, not the true extremes (t1 and
+    # everything but t2), shows that both sides are read from the hook.
+    oracle.minimizer = lambda orc, lo, hi: (5, lo, hi)
+    x, y = triforce.edge(1, 2), triforce.edge(3, 4)
+    hi = triforce.full & ~y
+    assert leftmost_min_separation(triforce.oracle, x, y) == triforce.t1
+    assert rightmost_min_separation(triforce.oracle, x, y) == triforce.t1 | triforce.t3
+    assert leftmost_min_separation(oracle, x, y) == leftmost_min_in_box(oracle, x, hi) == x
+    assert rightmost_min_separation(oracle, x, y) == rightmost_min_in_box(oracle, x, hi) == hi
+    assert kappa_min(oracle, x, y) == MinSeparationResult(5, x)
 
 
 def test_exhaustive_guard():
