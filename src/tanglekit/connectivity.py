@@ -12,7 +12,11 @@ Conventions used throughout the library:
 
 The built-in instances are the vertex cut function of a graph, the edge
 boundary function of a graph, the GF(2) cut rank of a graph, and the
-connectivity function of a binary matroid.
+connectivity function of a binary matroid.  The vertex-cut and edge-boundary
+oracles carry a max-flow box minimizer (see ``flow``), so their constrained
+minima above ``flow.SMALL_BOX`` free positions need no kappa evaluations and
+are not bound by the exhaustive scan's 22-bit guard; the other two use the
+scan.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SizeGuardError
+from .flow import edge_boundary_network, vertex_cut_network
 
 MAX_GROUND = 64
 
@@ -255,7 +260,9 @@ def vertex_cut_fn(graph: Graph) -> ConnectivityOracle:
                 count += 1
         return count
 
-    return ConnectivityOracle(ground, fn, name="vertex-cut")
+    oracle = ConnectivityOracle(ground, fn, name="vertex-cut")
+    oracle.minimizer = vertex_cut_network(graph.n, edges)
+    return oracle
 
 
 def edge_boundary_fn(graph: Graph) -> ConnectivityOracle:
@@ -275,7 +282,9 @@ def edge_boundary_fn(graph: Graph) -> ConnectivityOracle:
                 count += 1
         return count
 
-    return ConnectivityOracle(ground, fn, name="edge-boundary")
+    oracle = ConnectivityOracle(ground, fn, name="edge-boundary")
+    oracle.minimizer = edge_boundary_network(graph.n, graph.edges)
+    return oracle
 
 
 def cut_rank_fn(graph: Graph) -> ConnectivityOracle:

@@ -9,8 +9,10 @@ unique inclusion-greatest one (rightmost), their union.
 The minimizer is pluggable: an oracle may carry a ``minimizer`` attribute
 ``fn(oracle, lo, hi) -> (value, leftmost, rightmost)`` giving the minimum of
 kappa over the box [lo, hi] and its least and greatest minimizers.  The
-bundled default is one exhaustive scan of the free positions, guarded at
-FREE_LIMIT bits, which covers all desk-scale targets.
+vertex-cut and edge-boundary oracles carry a max-flow minimizer
+(``flow.FlowNetwork``) that scans only boxes with at most ``flow.SMALL_BOX``
+free positions.  Every other oracle uses the default, one exhaustive scan of
+the free positions; FREE_LIMIT guards that scan and nothing else.
 """
 
 from __future__ import annotations

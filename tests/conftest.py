@@ -9,7 +9,7 @@ C5RANK:   five-cycle under GF(2) cut rank, |U| = 5.
 
 import pytest
 
-from tanglekit import Graph, cut_rank_fn, edge_boundary_fn
+from tanglekit import Graph, cut_rank_fn, edge_boundary_fn, vertex_cut_fn
 from tanglekit.decomposition import branch_decomposition_from_leaf_sets
 from tanglekit.oracles import _cubic_trees
 
@@ -30,6 +30,17 @@ def grid3_graph():
             if r < 2:
                 edges.append((v, v + 3))
     return Graph.from_edges(9, edges)
+
+
+def chain_k4_vertex_cut(blocks):
+    """K4 blocks on vertices 4b..4b+3, consecutive blocks joined by one edge."""
+    edges = []
+    for b in range(blocks):
+        vs = range(4 * b, 4 * b + 4)
+        edges += [(u, v) for u in vs for v in vs if u < v]
+        if b + 1 < blocks:
+            edges.append((4 * b + 3, 4 * b + 4))
+    return vertex_cut_fn(Graph.from_edges(4 * blocks, edges))
 
 
 def edge_mask(graph, pairs):

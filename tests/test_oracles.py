@@ -57,11 +57,11 @@ def test_brute_branch_width_tiny():
     assert max_tangle_order(single) == 0
 
 
-def test_brute_leftmost_matches_fast(k4, c5rank):
+def test_brute_leftmost_matches_fast(triforce, k4, c5rank):
     """Every box: leftmost against the brute-force meet of the minimizers, and
     rightmost against the complement of the brute-force leftmost in the
     complementary box (kappa is symmetric)."""
-    for oracle in (k4, c5rank):
+    for oracle in (triforce.oracle, k4, c5rank):
         full = oracle.ground.full_mask
         for hi in range(full + 1):
             lo = hi

@@ -6,15 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph
 from tanglekit import (
     DomainError,
+    Graph,
     MinSeparationResult,
+    edge_boundary_fn,
+    has_tangle_of_order,
     kappa_min,
     leftmost_min_separation,
     rightmost_min_separation,
+    vertex_cut_fn,
 )
 from tanglekit.oracles import brute_force_leftmost_separation, permuted_oracle, random_instances
-from tanglekit.separations import leftmost_min_in_box, rightmost_min_in_box
+from tanglekit.separations import (
+    _exhaustive_box_min,
+    leftmost_min_in_box,
+    rightmost_min_in_box,
+)
 
 def test_kappa_min_triforce(triforce):
     a = triforce.edge(0, 1)
@@ -181,3 +190,75 @@ def test_exhaustive_guard():
     big = ConnectivityOracle(GroundSet(25), lambda x: 0, memo=False)
     with pytest.raises(SizeGuardError):
         kappa_min(big, 0, 0)
+
+
+def _every_box(full):
+    return ((x, full & ~y) for x, y in _all_disjoint_pairs(full))
+
+
+def _assert_flow_agrees(oracle, boxes):
+    """The max flow alone, without the small-box scan, against the scan."""
+    network = oracle.minimizer
+    for lo, hi in boxes:
+        assert network.min_cut(lo, hi) == _exhaustive_box_min(oracle, lo, hi), (lo, hi)
+
+
+def test_flow_agrees_on_every_box():
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    graphs = [
+        Graph.from_edges(7, TRIFORCE_EDGES),
+        Graph.from_edges(4, k4),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+    ]
+    oracles = [fn(g) for g in graphs for fn in (vertex_cut_fn, edge_boundary_fn)]
+    oracles.append(chain_k4_vertex_cut(3))
+    for oracle in oracles:
+        _assert_flow_agrees(oracle, _every_box(oracle.ground.full_mask))
+
+
+def test_flow_agrees_on_random_graphs():
+    rng = random.Random(3)
+    graphs = [
+        Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4)]),  # isolated 5 and 6
+        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),
+        Graph.from_edges(4, []),
+    ]
+    while len(graphs) < 40:
+        n = rng.randint(1, 7)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
+    for graph in graphs:
+        oracle = vertex_cut_fn(graph)
+        _assert_flow_agrees(oracle, _every_box(oracle.ground.full_mask))
+        if 1 <= graph.m <= 9:
+            oracle = edge_boundary_fn(graph)
+            _assert_flow_agrees(oracle, _every_box(oracle.ground.full_mask))
+
+
+def test_flow_agrees_on_random_boxes():
+    rng = random.Random(4)
+    for oracle in (edge_boundary_fn(grid3_graph()), chain_k4_vertex_cut(4)):
+        n = oracle.ground.n
+        boxes = []
+        for _ in range(2000):
+            inside, outside = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
+            lo = hi = 0
+            for e in range(n):
+                r = rng.random()
+                if r < inside:
+                    lo |= 1 << e
+                if r < 1 - outside:
+                    hi |= 1 << e
+            boxes.append((lo, hi))
+        _assert_flow_agrees(oracle, boxes)
+
+
+def test_flow_beyond_scan_guard():
+    """Eight K4 in a chain under vertex-cut: 30 free positions, past the
+    scan's FREE_LIMIT, are solved by the flow."""
+    oracle = chain_k4_vertex_cut(8)
+    full = oracle.ground.full_mask
+    assert kappa_min(oracle, 1, 1 << 31) == MinSeparationResult(1, 0xF)
+    assert rightmost_min_in_box(oracle, 1, full & ~(1 << 31)) == 0x0FFFFFFF
+    assert has_tangle_of_order(oracle, 2)

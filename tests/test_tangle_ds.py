@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from conftest import TRIFORCE_EDGES
+from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut
 from tanglekit import (
     DomainError,
     Graph,
@@ -13,7 +13,6 @@ from tanglekit import (
     OutOfOrderError,
     build_structure,
     edge_boundary_fn,
-    vertex_cut_fn,
 )
 from tanglekit.oracles import brute_force_leftmost_tangle_separation, brute_force_tangles
 from tanglekit.tangle_ds import TangleDataStructure
@@ -88,17 +87,6 @@ def test_find_rejects_missing_level(p3):
     ds = build_structure(p3, 2)
     with pytest.raises(IntegrityError):
         ds.find(2, lambda x: True)
-
-
-def chain_k4_vertex_cut(blocks):
-    """K4 blocks on vertices 4b..4b+3, consecutive blocks joined by one edge."""
-    edges = []
-    for b in range(blocks):
-        vs = range(4 * b, 4 * b + 4)
-        edges += [(u, v) for u in vs for v in vs if u < v]
-        if b + 1 < blocks:
-            edges.append((4 * b + 3, 4 * b + 4))
-    return vertex_cut_fn(Graph.from_edges(4 * blocks, edges))
 
 
 def test_separation_matches_brute(triforce, k4, c5rank):
