@@ -21,7 +21,8 @@ tangle exists exactly when no two mu values cover the ground set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .bases import Base, enumerate_bases
@@ -91,6 +92,15 @@ class AvoidContext:
     base tangle avoids the stored family plus ``extras``.  Extra queries
     warm-start from the stored fixpoint, which is sound because adding avoid
     sets only ever grows the mu values.
+
+    The closure is evaluated semi-naively: each window (union of two mu
+    values) is checked against the bases once.  That suffices because the
+    update of mu(B) from window W depends only on B and W (it is the
+    rightmost minimizer of the box [b1, W & ~b2]) and mu only grows, so a
+    result once in mu(B) stays there.  The checked windows are kept in
+    ``seen``, from which extra queries also start: their mu is at or above
+    the stored one.  Bases are sorted by b1, and a window skips every run of
+    bases whose b1 it does not contain.
     """
 
     def __init__(
@@ -104,15 +114,20 @@ class AvoidContext:
         self.order = order
         self.full = oracle.ground.full_mask
         self.bases: List[Base] = enumerate_bases(oracle, order - 1)
+        # (b1, start, end): bases[start:end] are the bases with this b1.
+        self._runs, end = [], 0
+        for b1, group in groupby(self.bases, key=attrgetter("b1")):
+            start, end = end, end + sum(1 for _ in group)
+            self._runs.append((b1, start, end))
         mu = [0] * len(self.bases)
         self._seed_singletons(mu)
         if base_tangle is not None and base_tangle.order > 0:
             self._seed_base_tangle(mu, base_tangle)
         for a in avoids:
             self._seed_avoid(mu, a)
-        self._run(mu)
+        self.seen: set = set()
+        self._answer = not self._run(mu, self.seen)
         self.mu = mu
-        self._answer = not self._covered(mu)
         self._extra_cache: dict = {}
 
     # mu seeding ------------------------------------------------------
@@ -154,40 +169,29 @@ class AvoidContext:
 
     # fixpoint ---------------------------------------------------------
 
-    def _covered(self, mu) -> bool:
-        values = sorted({v for v in mu if v})
-        for i, a in enumerate(values):
-            for b in values[i:]:
-                if a | b == self.full:
-                    return True
-        return False
-
-    def _violation_update(self, mu, i: int, base: Base, window: int) -> bool:
-        hi = window & ~base.b2
-        # Most windows leave the box empty (on the 3x3 grid, 15.6 M of 17 M);
-        # testing that inline spares box_min those calls.
-        if window & ~mu[i] == 0 or base.b1 & ~hi:
-            return False
-        r = box_min(self.oracle, base.b1, hi)
-        if r[0] != base.order:
-            return False
-        y = r[2]
-        if y & ~mu[i]:
-            mu[i] |= y
-            return True
-        return False
-
-    def _run(self, mu) -> None:
+    def _run(self, mu, seen: set) -> bool:
+        """Close mu under the update rule; True iff two mu values cover the
+        ground set."""
+        oracle, bases = self.oracle, self.bases
         while True:
             values = sorted({v for v in mu if v})
-            windows = sorted({a | b for j, a in enumerate(values) for b in values[j:]})
-            changed = False
-            for i, base in enumerate(self.bases):
-                for w in windows:
-                    if self._violation_update(mu, i, base, w):
-                        changed = True
-            if not changed or self._covered(mu):
-                return
+            windows = {a | b for j, a in enumerate(values) for b in values[j:]}
+            if self.full in windows:
+                return True
+            windows -= seen
+            if not windows:
+                return False
+            seen |= windows
+            for w in sorted(windows):
+                for b1, start, end in self._runs:
+                    if b1 & ~w:
+                        continue
+                    for i in range(start, end):
+                        if w & ~mu[i]:
+                            base = bases[i]
+                            r = box_min(oracle, b1, w & ~base.b2)
+                            if r[0] == base.order:
+                                mu[i] |= r[2]
 
     # queries ----------------------------------------------------------
 
@@ -203,8 +207,7 @@ class AvoidContext:
         mu = list(self.mu)
         for a in sorted(key):
             self._seed_avoid(mu, a)
-        self._run(mu)
-        answer = not self._covered(mu)
+        answer = not self._run(mu, set(self.seen))
         self._extra_cache[key] = answer
         return answer
 
@@ -220,8 +223,7 @@ def _context(
     key = (order, frozenset(avoids), base_key)
     ctx = cache.get(key)
     if ctx is None:
-        ctx = AvoidContext(oracle, order, avoids, base_tangle)
-        cache[key] = ctx
+        ctx = cache.setdefault(key, AvoidContext(oracle, order, avoids, base_tangle))
     return ctx
 
 

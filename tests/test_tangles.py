@@ -1,11 +1,16 @@
 """Tangle axioms, membership, avoidance queries, and tangle separations."""
 
+import sys
+import threading
+from itertools import combinations
+
 import pytest
 
-from conftest import grid3_graph
+from conftest import TRIFORCE_EDGES, grid3_graph
 from tanglekit import (
     Base,
     DomainError,
+    Graph,
     OutOfOrderError,
     build_structure,
     check_axioms,
@@ -24,7 +29,10 @@ from tanglekit.oracles import (
     brute_force_branch_width,
     brute_force_leftmost_tangle_separation,
     brute_force_tangles,
+    random_instances,
 )
+from tanglekit.separations import box_min
+from tanglekit.tangles import AvoidContext, _context
 
 
 def _explicit(oracle, order, sides):
@@ -297,3 +305,86 @@ def test_signature_sets_are_members(triforce, k4):
             tangle = ds.tangle(i)
             for s in tangle.signature:
                 assert tangle.member(s)
+
+
+def _round_robin_fixpoint(ctx, avoids):
+    """Reference closure: every base against every window, round after round,
+    until no update changes mu or two mu values cover the ground set.
+    Returns (tangle exists, mu)."""
+    mu = [0] * len(ctx.bases)
+    ctx._seed_singletons(mu)
+    for a in avoids:
+        ctx._seed_avoid(mu, a)
+    while True:
+        values = {v for v in mu if v}
+        windows = {a | b for a in values for b in values}
+        if ctx.full in windows:
+            return False, mu
+        changed = False
+        for i, base in enumerate(ctx.bases):
+            for w in windows:
+                r = box_min(ctx.oracle, base.b1, w & ~base.b2)
+                if r is not None and r[0] == base.order and r[2] & ~mu[i]:
+                    mu[i] |= r[2]
+                    changed = True
+        if not changed:
+            return True, mu
+
+
+def _low_order_sets(oracle, order):
+    return [x for x in range(oracle.ground.full_mask + 1) if oracle.evaluate(x) < order]
+
+
+def test_fixpoint_matches_round_robin(triforce, k4, p3, c5rank, grid3):
+    oracles = [triforce.oracle, k4, p3, c5rank, grid3]
+    oracles += [o for seed in (5, 6) for _, o in random_instances(seed, 10)]
+    for oracle in oracles:
+        for order in (1, 2, 3):
+            low = _low_order_sets(oracle, order)
+            families = [()] + [(x,) for x in low[1 :: max(1, len(low) // 6)]]
+            for avoids in families:
+                ctx = AvoidContext(oracle, order, avoids)
+                answer, mu = _round_robin_fixpoint(ctx, avoids)
+                assert ctx.exists() == answer
+                if answer:
+                    assert ctx.mu == mu
+
+
+def test_warm_exists_matches_cold_context(triforce, k4):
+    """exists(extras) starts from the stored fixpoint and its checked windows;
+    it must answer as a context built with the extras among its avoided sets,
+    however many queries the context answered before."""
+    for oracle in (triforce.oracle, k4):
+        for order in (1, 2, 3):
+            ctx = AvoidContext(oracle, order)
+            low = _low_order_sets(oracle, order)
+            families = [(x,) for x in low]
+            families += [f for size in (2, 3) for f in combinations(low[:8], size)]
+            for extras in families:
+                assert ctx.exists(extras) == AvoidContext(oracle, order, extras).exists()
+
+
+def test_concurrent_context_is_shared():
+    """Threads racing for one fresh oracle's avoidance context share one."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            oracle = edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES))
+            barrier = threading.Barrier(4)
+            results = []
+
+            def get():
+                barrier.wait()
+                results.append(_context(oracle, 2, ()))
+
+            threads = [threading.Thread(target=get) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 4
+            assert all(r is results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)
