@@ -24,6 +24,7 @@ from .connectivity import (
 from .decomposition import PartialDecomposition, branch_decomposition_from_leaf_sets
 from .emit import _subtree_codes, canonical_root
 from .errors import SizeGuardError, StructuralError
+from .separations import box_min, kappa_min
 from .tangles import ExplicitTangle
 
 
@@ -233,8 +234,6 @@ def brute_force_leftmost_tangle_separation(
 
 def brute_force_lattice(oracle: ConnectivityOracle, b1: int, b2: int) -> List[int]:
     """All members of L(b1, b2) by definition (free-set checks per candidate)."""
-    from .separations import kappa_min
-
     full = oracle.ground.full_mask
     out = []
     free = full & ~(b1 | b2)
@@ -261,26 +260,28 @@ def brute_force_lattice(oracle: ConnectivityOracle, b1: int, b2: int) -> List[in
 
 
 def permuted_oracle(oracle: ConnectivityOracle, perm: Sequence[int]) -> ConnectivityOracle:
-    """The relabeled function kappa'(X) = kappa(perm^{-1}(X))."""
+    """The relabeled function kappa'(X) = kappa(perm^{-1}(X)).
+
+    A box minimizer of the source is conjugated through the relabeling: the
+    box is pulled back, and the source's triple pushed forward.
+    """
     n = oracle.ground.n
-    inverse = [0] * n
-    for i, p in enumerate(perm):
-        inverse[p] = i
+    inverse = _invert(perm)
+    labels = oracle.ground.labels
+    if labels is not None:
+        labels = [labels[i] for i in inverse]
+    image = ConnectivityOracle(
+        GroundSet(n, labels=labels),
+        lambda x: oracle.evaluate(apply_perm(x, inverse)),
+        name=f"{oracle.name}'",
+    )
+    if oracle.minimizer is not None:
+        def minimizer(_, lo: int, hi: int):
+            value, left, right = box_min(oracle, apply_perm(lo, inverse), apply_perm(hi, inverse))
+            return value, apply_perm(left, perm), apply_perm(right, perm)
 
-    def pull_back(mask: int) -> int:
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << inverse[i]
-        return out
-
-    labels = None
-    if oracle.ground.labels is not None:
-        labels = [""] * n
-        for i, p in enumerate(perm):
-            labels[p] = oracle.ground.labels[i]
-    ground = GroundSet(n, labels=labels)
-    return ConnectivityOracle(ground, lambda x: oracle.evaluate(pull_back(x)), name=f"{oracle.name}'")
+        image.minimizer = minimizer
+    return image
 
 
 def apply_perm(mask: int, perm: Sequence[int]) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .bases import Base, enumerate_bases
 from .connectivity import ConnectivityOracle, bits_list, iter_bits
 from .errors import DomainError, OutOfOrderError, SizeGuardError, StructuralError
-from .separations import box_min
+from .separations import FREE_LIMIT, box_min
 
 
 @dataclass(frozen=True)
@@ -261,29 +261,40 @@ def has_tangle_of_order(oracle: ConnectivityOracle, k: int) -> bool:
 
 
 def _caterpillar_width(oracle: ConnectivityOracle) -> int:
-    """Width of the caterpillar branch decomposition over ascending ids.
+    """Least width of a caterpillar branch decomposition: the ascending-id
+    one, or a greedy one from some start element.
 
-    Any decomposition's width bounds the maximum tangle order, so this gives
-    a cheap safe upper bound for order scans.
+    A caterpillar's width is the largest kappa of a singleton or of a prefix
+    of its leaf order.  Any decomposition's width bounds the maximum tangle
+    order, so this gives a cheap safe upper bound for order scans.
     """
     n = oracle.ground.n
     if n == 1:
         return 0
-    width = 0
-    prefix = 0
-    for u in range(n):
-        width = max(width, oracle.evaluate(1 << u))
-        prefix |= 1 << u
-        width = max(width, oracle.evaluate(prefix))
-    return width
+    get = oracle.value_getter()
+    singles = max(get(1 << u) for u in range(n))
+    # (2 << u) - 1 is the ascending-id prefix ending at u.
+    best = max(singles, *(get((2 << u) - 1) for u in range(n)))
+    for start in range(n):
+        prefix, width = 1 << start, singles
+        rest = [u for u in range(n) if u != start]
+        while rest and width < best:
+            value, u = min((get(prefix | 1 << u), u) for u in rest)
+            rest.remove(u)
+            prefix |= 1 << u
+            width = max(width, value)
+        best = min(best, width)
+    return best
 
 
 def max_tangle_order(oracle: ConnectivityOracle) -> int:
     """The largest k admitting a tangle of order k (equals the branch width).
 
-    Scans orders upward and stops at the caterpillar width w: by branch-width
+    Scans orders upward and stops at a caterpillar width w: by branch-width
     duality no tangle has order above the width of any branch decomposition,
-    so order w + 1 is never tested.
+    so no order above w is tested.  w is the least width among the
+    ascending-id caterpillar and, from each start element, the greedy one
+    that appends the element of least kappa(prefix), ties to the lowest id.
     """
     cap = _caterpillar_width(oracle)
     k = 0
@@ -296,55 +307,6 @@ def max_tangle_order(oracle: ConnectivityOracle) -> int:
 # Minimal members of tangle unions in boxes and lattices.
 
 
-def _small_submasks(mask: int, max_size: int) -> List[int]:
-    ids = bits_list(mask)
-    out = [0]
-    for size in range(1, min(max_size, len(ids)) + 1):
-        out.extend(sum(1 << i for i in combo) for combo in combinations(ids, size))
-    return out
-
-
-def _grow_maximal(oracle: ConnectivityOracle, start: int, cap: int, bound: int) -> Optional[int]:
-    """Greedy inclusion-maximal X with start <= X <= cap whose box toward cap
-    stays at order <= bound.  The result itself has kappa <= bound."""
-    cache = oracle.cache("grow")
-    key = (start, cap, bound)
-    if key in cache:
-        return cache[key]
-    r = box_min(oracle, start, cap)
-    if r is None or r[0] > bound:
-        cache[key] = None
-        return None
-    cur = start
-    for u in iter_bits(cap & ~start):
-        bit = 1 << u
-        r = box_min(oracle, cur | bit, cap)
-        if r is not None and r[0] <= bound:
-            cur |= bit
-    cache[key] = cur
-    return cur
-
-
-def _find_smaller_member(oracle, member, lo: int, x: int, bound: int) -> Optional[int]:
-    """Some member X' of the union with lo <= X' strictly inside x, or None.
-
-    Guesses an excluded element and a candidate free set of the hypothetical
-    smaller member, grows maximally below the bound, and asks the membership
-    oracle once per distinct grown set.
-    """
-    tried = set()
-    for excluded in iter_bits(x & ~lo):
-        cap = x & ~(1 << excluded)
-        for z in _small_submasks(cap & ~lo, bound):
-            grown = _grow_maximal(oracle, lo | z, cap, bound)
-            if grown is None or grown in tried:
-                continue
-            tried.add(grown)
-            if member(grown):
-                return grown
-    return None
-
-
 def minimal_member_in_box(
     oracle: ConnectivityOracle,
     member: Callable[[int], bool],
@@ -354,23 +316,25 @@ def minimal_member_in_box(
 ) -> Optional[int]:
     """An inclusion-minimal X with member(X), lo <= X <= hi, kappa(X) <= max_order.
 
-    ``member`` must be a membership oracle for a union of tangles whose
-    orders all exceed ``max_order`` (tangle members are upward-closed below
-    their order, which the shrinking argument relies on).  Returns None when
-    no such set exists.
+    The exhaustive reference: tries the box's sets in order of size and
+    returns the first member, or None when there is none.  ``member``
+    is only asked about sets with kappa <= max_order.  Guarded like the
+    exhaustive box scan, at ``separations.FREE_LIMIT`` free positions.
     """
     if lo & ~hi:
         return None
-    found = None
-    if oracle.evaluate(hi) <= max_order and member(hi):
-        found = hi
-    x = hi
-    while True:
-        nxt = _find_smaller_member(oracle, member, lo, x, max_order)
-        if nxt is None:
-            return found
-        found = nxt
-        x = nxt
+    free = bits_list(hi & ~lo)
+    if len(free) > FREE_LIMIT:
+        raise SizeGuardError(
+            f"exhaustive minimal member guard: {len(free)} free positions exceeds {FREE_LIMIT}"
+        )
+    get = oracle.value_getter()
+    for size in range(len(free) + 1):
+        for combo in combinations(free, size):
+            x = lo | sum(1 << u for u in combo)
+            if get(x) <= max_order and member(x):
+                return x
+    return None
 
 
 def minimal_member_in_lattice(
@@ -382,9 +346,13 @@ def minimal_member_in_lattice(
     """An inclusion-minimal member of (union of tangles) inside L(base).
 
     With ``within`` given, the lattice is additionally restricted to subsets
-    of that window.  Exploits two shortcuts: the union meets the (restricted)
-    lattice iff it contains the lattice top, and the lattice bottom, when a
-    member, is the global minimum.
+    of that window.  Each tangle is upward closed below its order, so the
+    union's members form an up-set of the lattice: it meets the lattice iff
+    it holds the top, and some member inside x avoids u iff the rightmost
+    lattice set inside x - u is one.  One descent over the top's elements
+    outside b1 thus ends at a minimal member; a u that fails once fails for
+    every smaller x.  For a single tangle, whose lattice members are closed
+    under intersection, that is its least member.
     """
     hi = oracle.ground.complement(base.b2)
     if within is not None:
@@ -392,17 +360,18 @@ def minimal_member_in_lattice(
     r = box_min(oracle, base.b1, hi)
     if r is None or r[0] != base.order:
         return None
-    _, bottom, top = r
+    q, bottom, top = r
     if not member(top):
         return None
     if bottom == top or member(bottom):
         return bottom
     x = top
-    while True:
-        nxt = _find_smaller_member(oracle, member, base.b1, x, base.order)
-        if nxt is None:
-            return x
-        x = nxt
+    for u in iter_bits(top & ~base.b1):
+        if x >> u & 1:
+            r = box_min(oracle, base.b1, x & ~(1 << u))
+            if r[0] == q and member(r[2]):
+                x = r[2]
+    return x
 
 
 # ---------------------------------------------------------------------------

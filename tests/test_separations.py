@@ -21,6 +21,7 @@ from tanglekit import (
 from tanglekit.oracles import brute_force_leftmost_separation, permuted_oracle, random_instances
 from tanglekit.separations import (
     _exhaustive_box_min,
+    box_min,
     leftmost_min_in_box,
     rightmost_min_in_box,
 )
@@ -236,22 +237,40 @@ def test_flow_agrees_on_random_graphs():
             _assert_flow_agrees(oracle, _every_box(oracle.ground.full_mask))
 
 
+def _random_boxes(rng, n, count):
+    boxes = []
+    for _ in range(count):
+        inside, outside = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
+        lo = hi = 0
+        for e in range(n):
+            r = rng.random()
+            if r < inside:
+                lo |= 1 << e
+            if r < 1 - outside:
+                hi |= 1 << e
+        boxes.append((lo, hi))
+    return boxes
+
+
 def test_flow_agrees_on_random_boxes():
     rng = random.Random(4)
     for oracle in (edge_boundary_fn(grid3_graph()), chain_k4_vertex_cut(4)):
-        n = oracle.ground.n
-        boxes = []
-        for _ in range(2000):
-            inside, outside = rng.uniform(0, 0.5), rng.uniform(0, 0.5)
-            lo = hi = 0
-            for e in range(n):
-                r = rng.random()
-                if r < inside:
-                    lo |= 1 << e
-                if r < 1 - outside:
-                    hi |= 1 << e
-            boxes.append((lo, hi))
-        _assert_flow_agrees(oracle, boxes)
+        _assert_flow_agrees(oracle, _random_boxes(rng, oracle.ground.n, 2000))
+
+
+def test_permuted_oracle_conjugates_the_minimizer(c5rank):
+    """A relabeled graph oracle keeps its source's minimizer, pulled back and
+    pushed forward through the permutation; other oracles keep the scan."""
+    rng = random.Random(6)
+    for source in (chain_k4_vertex_cut(4), edge_boundary_fn(grid3_graph())):
+        n = source.ground.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        image = permuted_oracle(source, perm)
+        assert image.minimizer is not None
+        for lo, hi in _random_boxes(rng, n, 500):
+            assert box_min(image, lo, hi) == _exhaustive_box_min(image, lo, hi), (lo, hi)
+    assert permuted_oracle(c5rank, [4, 3, 2, 1, 0]).minimizer is None
 
 
 def test_flow_beyond_scan_guard():

@@ -1,5 +1,6 @@
 """Tangle axioms, membership, avoidance queries, and tangle separations."""
 
+import random
 import sys
 import threading
 from itertools import combinations
@@ -22,17 +23,21 @@ from tanglekit import (
     leftmost_tangle_set_separation,
     max_tangle_order,
     minimal_member_in_box,
+    minimal_member_in_lattice,
     tangle_lattice_bottom,
     truncate,
 )
+from tanglekit.bases import enumerate_bases
 from tanglekit.oracles import (
     brute_force_branch_width,
+    brute_force_lattice,
     brute_force_leftmost_tangle_separation,
     brute_force_tangles,
+    permuted_oracle,
     random_instances,
 )
 from tanglekit.separations import box_min
-from tanglekit.tangles import AvoidContext, _context
+from tanglekit.tangles import AvoidContext, _caterpillar_width, _context
 
 
 def _explicit(oracle, order, sides):
@@ -206,6 +211,36 @@ def test_max_tangle_order_stops_at_caterpillar_width():
     assert 3 not in oracle.cache("bases")
 
 
+def _ascending_caterpillar_width(oracle):
+    n = oracle.ground.n
+    if n == 1:
+        return 0
+    width, prefix = max(oracle.evaluate(1 << u) for u in range(n)), 0
+    for u in range(n):
+        prefix |= 1 << u
+        width = max(width, oracle.evaluate(prefix))
+    return width
+
+
+def test_greedy_caterpillar_bound_under_relabeling():
+    """On relabeled 3x3 grids the bound is the width 3, so neither an order-4
+    fixpoint nor the order-3 bases it would need are computed."""
+    grid = edge_boundary_fn(grid3_graph())
+    rng = random.Random(12)
+    for _ in range(20):
+        perm = list(range(grid.ground.n))
+        rng.shuffle(perm)
+        oracle = permuted_oracle(grid, perm)
+        assert max_tangle_order(oracle) == 3
+        assert 3 not in oracle.cache("bases")
+
+
+def test_caterpillar_bound_between_width_and_ascending_ids():
+    for _, oracle in random_instances(8, 40, max_ground=7):
+        bound = _caterpillar_width(oracle)
+        assert brute_force_branch_width(oracle) <= bound <= _ascending_caterpillar_width(oracle)
+
+
 def test_leftmost_tangle_separation_triforce(triforce):
     ds = build_structure(triforce.oracle, 2)
     t1, t2, t3 = (ds.tangle(i) for i in (3, 4, 5))
@@ -279,6 +314,42 @@ def test_tangle_lattice_bottom(triforce):
     assert tangle_lattice_bottom(tri1, reverse) is None
     unit = ds.tangle(2)
     assert tangle_lattice_bottom(unit, Base(0, 0, 0)) == triforce.full
+
+
+def _inclusion_minimal(members):
+    return [m for m in members if not any(z != m and z & ~m == 0 for z in members)]
+
+
+def test_minimal_member_in_lattice_against_definition(triforce, k4, p3, c5rank, grid3):
+    """The descent on every base of order <= 2, against the brute-force
+    lattice: the least member for each tangle, and an inclusion-minimal
+    member for the union of all tangles of one order, which the
+    tangle-structure splitter asks about at the root of each level."""
+    oracles = [triforce.oracle, k4, p3, c5rank, grid3]
+    oracles += [o for _, o in random_instances(5, 10)]
+    for oracle in oracles:
+        full = oracle.ground.full_mask
+        top = max_tangle_order(oracle)
+        ds = build_structure(oracle, top)
+        tangles = [ds.tangle(i) for k in range(1, top + 1) for i in ds.indices_of_order(k)]
+        unions = {}
+        for order in range(1, top + 1):
+            ctx = _context(oracle, order, ())
+            unions[order] = lambda x, ctx=ctx: ctx.exists((full & ~x,))
+        for base in enumerate_bases(oracle, min(2, top - 1)):
+            lattice = brute_force_lattice(oracle, base.b1, base.b2)
+            for tangle in tangles:
+                if tangle.order <= base.order:
+                    continue
+                minimal = _inclusion_minimal([z for z in lattice if tangle.member(z)])
+                assert len(minimal) <= 1
+                expected = minimal[0] if minimal else None
+                assert minimal_member_in_lattice(oracle, tangle.member, base) == expected
+            for order in range(base.order + 1, top + 1):
+                member = unions[order]
+                minimal = _inclusion_minimal([z for z in lattice if member(z)])
+                got = minimal_member_in_lattice(oracle, member, base)
+                assert got in minimal if minimal else got is None
 
 
 def test_leftmost_tangle_set_separation(triforce):
