@@ -16,7 +16,9 @@ connectivity function of a binary matroid.  The vertex-cut and edge-boundary
 oracles carry a max-flow box minimizer (see ``flow``), so their constrained
 minima above ``flow.SMALL_BOX`` free positions need no kappa evaluations and
 are not bound by the exhaustive scan's 22-bit guard; the other two use the
-scan.
+scan.  Once an oracle's memo holds every subset, ``levels()`` groups the
+subsets by kappa value, and the scan walks those groups upward instead of
+the box's subsets.
 """
 
 from __future__ import annotations
@@ -225,6 +227,25 @@ class ConnectivityOracle:
                         self._calls += 1
                 return v
         return get
+
+    def levels(self) -> Optional[List[Tuple[int, List[int]]]]:
+        """Every subset of the ground set grouped by kappa value, as
+        ``(value, sets)`` pairs in ascending value; None until the memo holds
+        all 2^n subsets.
+
+        The groups are built once, from the memo's own keys, so they cost no
+        kappa evaluation and no new int objects.
+        """
+        levels = self.caches.get("levels")
+        if levels is None:
+            memo = self._memo
+            if memo is None or len(memo) <= self.ground.full_mask:
+                return None
+            groups: dict = {}
+            for x, v in memo.items():
+                groups.setdefault(v, []).append(x)
+            levels = self.caches.setdefault("levels", sorted(groups.items()))
+        return levels
 
     def cache(self, key: str) -> dict:
         d = self.caches.get(key)

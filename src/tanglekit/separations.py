@@ -12,12 +12,18 @@ kappa over the box [lo, hi] and its least and greatest minimizers.  The
 vertex-cut and edge-boundary oracles carry a max-flow minimizer
 (``flow.FlowNetwork``) that scans only boxes with at most ``flow.SMALL_BOX``
 free positions.  Every other oracle uses the default, one exhaustive scan of
-the free positions; FREE_LIMIT guards that scan and nothing else.
+the free positions; FREE_LIMIT guards that scan and nothing else.  Once the
+oracle's memo is complete, the scan first walks ``oracle.levels()``, the
+subsets grouped by kappa value, upward until a group meets the box.  It
+reads at most as many sets as the box has, then falls back to walking the
+box's subsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .connectivity import ConnectivityOracle
 from .errors import DomainError, SizeGuardError
@@ -38,6 +44,20 @@ def _exhaustive_box_min(oracle: ConnectivityOracle, lo: int, hi: int):
         raise SizeGuardError(
             f"exhaustive minimizer guard: {nfree} free positions exceeds {FREE_LIMIT}"
         )
+    levels = oracle.levels()
+    if levels is not None:
+        # The first value with a set inside the box is the minimum, and the
+        # box's sets of that value are all its minimizers.  Give up once the
+        # groups read exceed the box's 2^free sets.
+        pin = lo | (oracle.ground.full_mask & ~hi)
+        budget = 1 << nfree
+        for v, sets in levels:
+            budget -= len(sets)
+            if budget < 0:
+                break
+            hits = [z for z in sets if z & pin == lo]
+            if hits:
+                return v, reduce(and_, hits), reduce(or_, hits)
     get = oracle.value_getter()
     best = get(lo)
     left = right = lo

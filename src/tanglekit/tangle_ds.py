@@ -81,6 +81,11 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     return _Level(order, grow(()), paths)
 
 
+def _check_order(k: int) -> None:
+    if k < 0:
+        raise DomainError(f"tangle orders are nonnegative, got {k}")
+
+
 class TangleDataStructure:
     """Comprehensive access to all tangles of order up to ``order()``.
 
@@ -114,6 +119,7 @@ class TangleDataStructure:
 
     def count(self, k: int) -> int:
         """Number of tangles of order exactly k."""
+        _check_order(k)
         self.ensure(k)
         return len(self.levels[k].paths)
 
@@ -131,6 +137,7 @@ class TangleDataStructure:
         raise AssertionError("unreachable")
 
     def indices_of_order(self, k: int) -> List[int]:
+        _check_order(k)
         self.ensure(k)
         base = self.size(k - 1)
         return [base + j + 1 for j in range(len(self.levels[k].paths))]
@@ -171,6 +178,7 @@ class TangleDataStructure:
 
     def find(self, k: int, member: Callable[[int], bool]) -> int:
         """Index of the order-k tangle with the given membership function."""
+        _check_order(k)
         self.ensure(k)
         level = self.levels[k]
         if level.tree is None:

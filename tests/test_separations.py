@@ -1,6 +1,8 @@
 """Constrained minimization and leftmost/rightmost minimum separations."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,21 @@ from tanglekit import (
     DomainError,
     Graph,
     MinSeparationResult,
+    cut_rank_fn,
     edge_boundary_fn,
     has_tangle_of_order,
     kappa_min,
     leftmost_min_separation,
+    matroid_connectivity_fn,
     rightmost_min_separation,
     vertex_cut_fn,
 )
-from tanglekit.oracles import brute_force_leftmost_separation, permuted_oracle, random_instances
+from tanglekit.oracles import (
+    brute_force_leftmost_in_box,
+    brute_force_leftmost_separation,
+    permuted_oracle,
+    random_instances,
+)
 from tanglekit.separations import (
     _exhaustive_box_min,
     box_min,
@@ -281,3 +290,125 @@ def test_flow_beyond_scan_guard():
     assert kappa_min(oracle, 1, 1 << 31) == MinSeparationResult(1, 0xF)
     assert rightmost_min_in_box(oracle, 1, full & ~(1 << 31)) == 0x0FFFFFFF
     assert has_tangle_of_order(oracle, 2)
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def _k4_cycle_matroid(copies):
+    """The direct sum of ``copies`` cycle matroids M(K4), from the
+    vertex-edge incidence rows of disjoint K4s over GF(2)."""
+    rows = []
+    for c in range(copies):
+        block = [0] * 4
+        for j, (u, v) in enumerate(K4_EDGES):
+            block[u] |= 1 << (6 * c + j)
+            block[v] |= 1 << (6 * c + j)
+        rows += block
+    return matroid_connectivity_fn(rows, 6 * copies)
+
+
+def _fill_memo(oracle):
+    get = oracle.value_getter()
+    for x in range(oracle.ground.full_mask + 1):
+        get(x)
+
+
+def _assert_groups_agree(oracle, boxes):
+    """The scan on a complete memo against brute force: the minimum and
+    leftmost minimizer of each box, and the rightmost one as the complement
+    of the leftmost of the complemented box.  Returns how many boxes the
+    kappa groups answered without entering the subset walk."""
+    _fill_memo(oracle)
+    assert oracle.levels() is not None
+    full = oracle.ground.full_mask
+    get = oracle.value_getter()
+    grouped = 0
+    for lo, hi in boxes:
+        walked = []
+        oracle.value_getter = lambda: walked.append(1) or get
+        value, left, right = _exhaustive_box_min(oracle, lo, hi)
+        del oracle.value_getter
+        grouped += not walked
+        least = brute_force_leftmost_in_box(oracle, lo, hi)  # checks get(least) is the minimum
+        assert (value, left) == (get(least), least), (lo, hi)
+        assert right == full & ~brute_force_leftmost_in_box(oracle, full & ~hi, full & ~lo)
+    return grouped
+
+
+def test_kappa_groups_on_every_box():
+    oracles = [
+        cut_rank_fn(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
+        edge_boundary_fn(Graph.from_edges(4, K4_EDGES)),
+        edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES)),
+        _k4_cycle_matroid(1),
+    ]
+    for oracle in oracles:
+        boxes = list(_every_box(oracle.ground.full_mask))
+        grouped = _assert_groups_agree(oracle, boxes)
+        assert grouped > len(boxes) // 8, (oracle, grouped, len(boxes))
+
+
+def test_kappa_groups_on_random_boxes():
+    oracle = _k4_cycle_matroid(2)
+    boxes = _random_boxes(random.Random(8), oracle.ground.n, 2000)
+    assert _assert_groups_agree(oracle, boxes) > 500
+
+
+def test_levels_wait_for_a_complete_memo():
+    oracle = _k4_cycle_matroid(1)
+    full = oracle.ground.full_mask
+    assert oracle.levels() is None
+    get = oracle.value_getter()
+    for x in range(full):
+        get(x)
+    assert oracle.levels() is None
+    get(full)
+    calls = oracle.calls
+    levels = oracle.levels()
+    assert oracle.calls == calls == full + 1
+    assert levels is oracle.levels()
+    assert [v for v, _ in levels] == sorted({oracle.evaluate(x) for x in range(full + 1)})
+    assert sorted(x for _, sets in levels for x in sets) == list(range(full + 1))
+    assert all(oracle.evaluate(x) == v for v, sets in levels for x in sets)
+
+    unmemoized = _k4_cycle_matroid(1)
+    unmemoized._memo = None
+    _fill_memo(unmemoized)
+    assert unmemoized.levels() is None
+    assert _exhaustive_box_min(unmemoized, 0, full) == _exhaustive_box_min(oracle, 0, full)
+
+
+def test_concurrent_levels_are_shared():
+    """Threads racing for the groups of a freshly completed memo all get one
+    list, and their scans agree."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            oracle = _k4_cycle_matroid(1)
+            _fill_memo(oracle)
+            full = oracle.ground.full_mask
+            barrier = threading.Barrier(4)
+            results = []
+
+            def scan():
+                barrier.wait()
+                levels = oracle.levels()
+                minima = [_exhaustive_box_min(oracle, 1 << e, full) for e in range(6)]
+                results.append((levels, minima))
+
+            threads = [threading.Thread(target=scan) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 4
+            first = results[0]
+            assert first[0] is not None
+            for levels, minima in results:
+                assert levels is first[0]
+                assert minima == first[1]
+    finally:
+        sys.setswitchinterval(interval)

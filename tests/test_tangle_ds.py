@@ -182,3 +182,17 @@ def test_concurrent_build_structure():
         assert all(r is ds for r in results)
         assert [level.order for level in ds.levels] == [0, 1, 2]
         assert len(ds) == 5
+
+
+def test_negative_orders_are_rejected(triforce):
+    ds = build_structure(triforce.oracle, 2)
+    member = ds.tangle(3).member
+    with pytest.raises(DomainError):
+        ds.count(-1)
+    with pytest.raises(DomainError):
+        ds.indices_of_order(-1)
+    with pytest.raises(DomainError):
+        ds.find(-1, member)
+    with pytest.raises(DomainError):
+        ds.truncation(3, -1)
+    assert ds.count(2) == 3 and ds.indices_of_order(2) == [3, 4, 5]
