@@ -193,11 +193,20 @@ def cmd_directed(args) -> int:
 
 def cmd_verify(args) -> int:
     oracle = _load(args)
-    with open(args.decomposition, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if doc.get("format") != emit.DECOMPOSITION_FORMAT:
+    try:
+        with open(args.decomposition, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except ValueError as exc:
+        raise ParseError(f"decomposition file is not JSON: {exc}")
+    if not isinstance(doc, dict) or doc.get("format") != emit.DECOMPOSITION_FORMAT:
         raise ParseError("not a decomposition document")
-    order = doc["order"]
+    order = doc.get("order")
+    if (
+        not isinstance(order, int)
+        or doc.get("kind") not in ("tree", "directed")
+        or doc["kind"] == "directed" and not isinstance(doc.get("rootIndex"), int)
+    ):
+        raise ParseError("decomposition document lacks a valid order, kind or rootIndex")
     if doc["kind"] == "tree" and doc.get("refined"):
         td = refine_single_tangle(oracle, order)
         fresh = emit.tree_decomposition_document(
@@ -264,7 +273,10 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     env_guard = os.environ.get("TANGLEKIT_MAX_EXHAUSTIVE")
-    default_guard = int(env_guard) if env_guard else None
+    try:
+        default_guard = int(env_guard) if env_guard else None
+    except ValueError:
+        raise ParseError(f"TANGLEKIT_MAX_EXHAUSTIVE must be an integer, got {env_guard!r}")
 
     def common(p):
         p.add_argument("instance", help="instance file (graph or matrix format)")
@@ -315,9 +327,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

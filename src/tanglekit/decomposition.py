@@ -438,9 +438,7 @@ class TangleTreeDecomposition:
         return [t for t in self.td.nodes() if t not in marked]
 
 
-def assign_tangle_nodes(
-    td: TreeDecomposition, tangles: Dict[int, Tangle], verify_td3: bool = True
-) -> Dict[int, int]:
+def assign_tangle_nodes(td: TreeDecomposition, tangles: Dict[int, Tangle]) -> Dict[int, int]:
     """The unique injective tangle-to-node map for a matching nested family.
 
     For each tangle, all edges of order below its own are oriented toward it;
@@ -485,13 +483,12 @@ def assign_tangle_nodes(
             raise IntegrityError("tangle-to-node assignment is not injective")
         tau[key] = node
 
-    if verify_td3:
-        for key, node in tau.items():
-            tangle = tangles[key]
-            for u in td.adj[node]:
-                toward = td.edge_sep(u, node)
-                if tangle.oracle.evaluate(toward) >= tangle.order or not tangle.member(toward):
-                    raise IntegrityError(f"tangle {key} at node {node}: neighbor side not a member")
+    for key, node in tau.items():
+        tangle = tangles[key]
+        for u in td.adj[node]:
+            toward = td.edge_sep(u, node)
+            if tangle.oracle.evaluate(toward) >= tangle.order or not tangle.member(toward):
+                raise IntegrityError(f"tangle {key} at node {node}: neighbor side not a member")
     return tau
 
 
@@ -656,6 +653,8 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
     separated there by a coherent nested family, and the expanded separations
     are merged into the global family, which stays nested.
     """
+    if order < 0:
+        raise DomainError(f"decomposition orders are nonnegative, got {order}")
     ds = build_structure(oracle, order)
     ground = oracle.ground
     family: set = set()
@@ -999,7 +998,7 @@ def verify_tree_decomposition(ttd: TangleTreeDecomposition) -> VerificationRepor
 
     # uniqueness: re-derivation must reproduce tau
     if not v:
-        tau2 = assign_tangle_nodes(td, ttd.tangles, verify_td3=False)
+        tau2 = assign_tangle_nodes(td, ttd.tangles)
         if tau2 != ttd.tau:
             v.append("tau differs from its re-derivation")
     return _report(v)

@@ -41,11 +41,6 @@ class _Level:
         self.paths = paths
 
 
-def _avoids_for_path(oracle: ConnectivityOracle, path: Tuple[int, ...]) -> Tuple[int, ...]:
-    full = oracle.ground.full_mask
-    return tuple(sorted({full & ~p for p in path}))
-
-
 def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     if not has_tangle_of_order(oracle, order):
         return _Level(order, None, [])
@@ -56,7 +51,7 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     def splitter(path: Tuple[int, ...]) -> Optional[int]:
         # A separator lies in some tangle at this leaf and is avoided by
         # another; candidates are minimal union members per base lattice.
-        ctx = _context(oracle, order, _avoids_for_path(oracle, path))
+        ctx = _context(oracle, order, {full & ~p for p in path})
 
         def union_member(x: int) -> bool:
             return ctx.exists((full & ~x,))
@@ -230,8 +225,10 @@ class TangleDataStructure:
             raise DomainError("structure was built for a different ground set size")
         ds = TangleDataStructure(oracle)
         ds.levels = []
-        full = oracle.ground.full_mask
-        for entry in doc["levels"]:
+        n, full = oracle.ground.n, oracle.ground.full_mask
+        for k, entry in enumerate(doc["levels"]):
+            if entry["order"] != k:
+                raise DomainError(f"level {k} has order {entry['order']}; orders run 0, 1, 2, ...")
             paths: List[Tuple[int, ...]] = []
 
             def decode(node, path):
@@ -242,13 +239,15 @@ class TangleDataStructure:
                     if node["leaf"] != len(paths) - 1:
                         raise DomainError("leaf numbering out of order")
                     return ("leaf", node["leaf"])
+                if any(not 0 <= b < n for b in node["separator"]):
+                    raise DomainError(f"separator element out of range 0..{n - 1}")
                 sep = sum(1 << b for b in node["separator"])
                 yes = decode(node["contains"], path + (sep,))
                 no = decode(node["avoids"], path + (full & ~sep,))
                 return ("split", sep, yes, no)
 
             tree = decode(entry["tree"], ())
-            ds.levels.append(_Level(entry["order"], tree, paths))
+            ds.levels.append(_Level(k, tree, paths))
         return ds
 
 

@@ -13,9 +13,11 @@ signature + {X}, i.e. avoids the complements of all of these.
 
 The avoidance decision itself follows the dual decomposition search: it
 maintains, for every base B of bounded order, a growing decomposable member
-mu(B) of the lattice L(B), propagates the closure rule "any lattice member
-covered by two mu values joins its own base's mu", and declares that a
-tangle exists exactly when no two mu values cover the ground set.
+mu(B) of the lattice L(B), and declares that a tangle exists exactly when no
+two mu values cover the ground set.  One rule grows mu: the rightmost
+member of L(B) inside a window joins mu(B).  The windows are each singleton
+(no singleton is a member), each avoided set, and every union of two mu
+values.
 """
 
 from __future__ import annotations
@@ -50,12 +52,8 @@ class Tangle:
                 f"membership undefined: set has order >= tangle order {self.order}"
             )
         full = self.oracle.ground.full_mask
-        avoids = tuple(sorted({full & ~s for s in self.signature}))
-        ctx = _context(self.oracle, self.order, avoids)
+        ctx = _context(self.oracle, self.order, {full & ~s for s in self.signature})
         return ctx.exists((full & ~x,))
-
-    def member_fn(self) -> Callable[[int], bool]:
-        return self.member
 
     def __repr__(self) -> str:
         sig = ",".join(format(s, "x") for s in self.signature)
@@ -86,30 +84,27 @@ def membership(tangle: Tangle, x: int) -> bool:
 
 
 class AvoidContext:
-    """Fixpoint state for one (order, avoid family, base tangle) question.
+    """Fixpoint state for one (order, avoid family) question.
 
-    ``exists(extras)`` answers whether a tangle of ``order`` extending the
-    base tangle avoids the stored family plus ``extras``.  Extra queries
-    warm-start from the stored fixpoint, which is sound because adding avoid
-    sets only ever grows the mu values.
+    ``exists(extras)`` answers whether a tangle of ``order`` avoids the
+    stored family plus ``extras``.  Extra queries warm-start from the stored
+    fixpoint, which is sound because adding avoid sets only ever grows the
+    mu values.
 
-    The closure is evaluated semi-naively: each window (union of two mu
-    values) is checked against the bases once.  That suffices because the
-    update of mu(B) from window W depends only on B and W (it is the
-    rightmost minimizer of the box [b1, W & ~b2]) and mu only grows, so a
-    result once in mu(B) stays there.  The checked windows are kept in
-    ``seen``, from which extra queries also start: their mu is at or above
-    the stored one.  Bases are sorted by b1, and a window skips every run of
+    mu(B) grows by one rule: from a window W, it takes in the rightmost
+    minimizer of the box [b1, W & ~b2] when that has B's order.  The windows
+    are each singleton (the no-singleton axiom) and each avoided set, applied
+    once in the first round, and then every union of two mu values; a tangle
+    exists iff no such union is the ground set.  The update depends only on
+    B and W and mu only grows, so a result once in mu(B) stays there and the
+    least fixpoint does not depend on the order windows are applied in.  The
+    closure is therefore evaluated semi-naively: each window is checked
+    against the bases once and kept in ``seen``, from which extra queries
+    also start.  Bases are sorted by b1, and a window skips every run of
     bases whose b1 it does not contain.
     """
 
-    def __init__(
-        self,
-        oracle: ConnectivityOracle,
-        order: int,
-        avoids: Tuple[int, ...] = (),
-        base_tangle: Optional[Tangle] = None,
-    ):
+    def __init__(self, oracle: ConnectivityOracle, order: int, avoids: Iterable[int] = ()):
         self.oracle = oracle
         self.order = order
         self.full = oracle.ground.full_mask
@@ -119,66 +114,23 @@ class AvoidContext:
         for b1, group in groupby(self.bases, key=attrgetter("b1")):
             start, end = end, end + sum(1 for _ in group)
             self._runs.append((b1, start, end))
-        mu = [0] * len(self.bases)
-        self._seed_singletons(mu)
-        if base_tangle is not None and base_tangle.order > 0:
-            self._seed_base_tangle(mu, base_tangle)
-        for a in avoids:
-            self._seed_avoid(mu, a)
+        singletons = [1 << u for u in range(oracle.ground.n)]
+        self.mu = [0] * len(self.bases)
         self.seen: set = set()
-        self._answer = not self._run(mu, self.seen)
-        self.mu = mu
+        self._answer = not self._run(self.mu, self.seen, [*singletons, *avoids])
         self._extra_cache: dict = {}
 
-    # mu seeding ------------------------------------------------------
-
-    def _seed_singletons(self, mu) -> None:
-        oracle = self.oracle
-        singles = [
-            (u, oracle.evaluate(1 << u)) for u in range(oracle.ground.n)
-        ]
-        for i, base in enumerate(self.bases):
-            acc = 0
-            for u, value in singles:
-                bit = 1 << u
-                if value != base.order or bit & base.b2:
-                    continue
-                if base.b1 == 0 or base.b1 == bit:
-                    acc |= bit
-            mu[i] |= acc
-
-    def _seed_avoid(self, mu, avoid_mask: int) -> None:
-        # Greatest lattice member inside the avoided set, per base.
-        oracle = self.oracle
-        for i, base in enumerate(self.bases):
-            r = box_min(oracle, base.b1, avoid_mask & ~base.b2)
-            if r is not None and r[0] == base.order:
-                mu[i] |= r[2]
-
-    def _seed_base_tangle(self, mu, base_tangle: Tangle) -> None:
-        # Complement of the least member of base_tangle within L(b2, b1);
-        # bases at or above the tangle's order cannot meet it.
-        oracle = self.oracle
-        for i, base in enumerate(self.bases):
-            if base.order >= base_tangle.order:
-                continue
-            swapped = Base(base.b2, base.b1, base.order)
-            m = tangle_lattice_bottom(base_tangle, swapped)
-            if m is not None:
-                mu[i] |= self.full & ~m
-
-    # fixpoint ---------------------------------------------------------
-
-    def _run(self, mu, seen: set) -> bool:
-        """Close mu under the update rule; True iff two mu values cover the
-        ground set."""
+    def _run(self, mu, seen: set, windows: Iterable[int]) -> bool:
+        """Close mu under the update rule, starting with ``windows`` as the
+        first round's; True iff two mu values cover the ground set."""
         oracle, bases = self.oracle, self.bases
+        windows = set(windows)
         while True:
             values = sorted({v for v in mu if v})
-            windows = {a | b for j, a in enumerate(values) for b in values[j:]}
-            if self.full in windows:
+            pairs = {a | b for j, a in enumerate(values) for b in values[j:]}
+            if self.full in pairs:
                 return True
-            windows -= seen
+            windows = (windows | pairs) - seen
             if not windows:
                 return False
             seen |= windows
@@ -192,8 +144,7 @@ class AvoidContext:
                             r = box_min(oracle, b1, w & ~base.b2)
                             if r[0] == base.order:
                                 mu[i] |= r[2]
-
-    # queries ----------------------------------------------------------
+            windows = set()
 
     def exists(self, extras: Iterable[int] = ()) -> bool:
         key = frozenset(extras)
@@ -204,52 +155,33 @@ class AvoidContext:
         hit = self._extra_cache.get(key)
         if hit is not None:
             return hit
-        mu = list(self.mu)
-        for a in sorted(key):
-            self._seed_avoid(mu, a)
-        answer = not self._run(mu, set(self.seen))
+        answer = not self._run(list(self.mu), set(self.seen), key)
         self._extra_cache[key] = answer
         return answer
 
 
-def _context(
-    oracle: ConnectivityOracle,
-    order: int,
-    avoids: Tuple[int, ...],
-    base_tangle: Optional[Tangle] = None,
-) -> AvoidContext:
+def _context(oracle: ConnectivityOracle, order: int, avoids: Iterable[int]) -> AvoidContext:
     cache = oracle.cache("avoid_ctx")
-    base_key = None if base_tangle is None else (base_tangle.order, base_tangle.signature)
-    key = (order, frozenset(avoids), base_key)
+    key = (order, frozenset(avoids))
     ctx = cache.get(key)
     if ctx is None:
-        ctx = cache.setdefault(key, AvoidContext(oracle, order, avoids, base_tangle))
+        ctx = cache.setdefault(key, AvoidContext(oracle, order, key[1]))
     return ctx
 
 
 def exists_tangle_avoiding(
-    oracle: ConnectivityOracle,
-    order: int,
-    avoid: Sequence[int] = (),
-    base_tangle: Optional[Tangle] = None,
+    oracle: ConnectivityOracle, order: int, avoid: Sequence[int] = ()
 ) -> bool:
-    """Is there a tangle of ``order`` extending ``base_tangle`` that avoids
-    (the down-closures of) every set in ``avoid``?
+    """Is there a tangle of ``order`` that avoids (the down-closures of)
+    every set in ``avoid``?
 
-    Every avoided set must have order at most ``order - 1``; the base tangle,
-    when given, must have order below ``order``.
+    Every avoided set must have order at most ``order - 1``.  Each avoided
+    set enters the fixpoint as a first-round window, beside the singletons.
     """
     for a in avoid:
         if oracle.evaluate(a) > order - 1:
             raise DomainError("avoided sets must have order below the target order")
-    if base_tangle is not None and base_tangle.order >= order:
-        if base_tangle.order > order:
-            raise DomainError("base tangle order exceeds target order")
-        # Extending a tangle of the same order: it is its own extension iff it
-        # avoids the given sets.
-        return all(not base_tangle.member(a) for a in avoid) if avoid else True
-    ctx = _context(oracle, order, tuple(sorted(set(avoid))), base_tangle)
-    return ctx.exists(())
+    return _context(oracle, order, avoid).exists(())
 
 
 def has_tangle_of_order(oracle: ConnectivityOracle, k: int) -> bool:
@@ -391,7 +323,25 @@ def comparable(t1: Tangle, t2: Tangle) -> bool:
     return is_extension(t1, t2) or is_extension(t2, t1)
 
 
-def _least_of(candidates: List[int]) -> int:
+def _least_member_of_order(
+    tangle: Tangle,
+    q: int,
+    within: Optional[int] = None,
+    accept: Callable[[int], bool] = lambda m: True,
+) -> Optional[int]:
+    """The least of the tangle's least members in the order-q base lattices
+    (restricted to ``within``) that ``accept`` admits; None when there are
+    none.  The least must lie inside every other candidate."""
+    oracle = tangle.oracle
+    candidates = []
+    for base in enumerate_bases(oracle, q):
+        if base.order != q:
+            continue
+        m = minimal_member_in_lattice(oracle, tangle.member, base, within=within)
+        if m is not None and accept(m):
+            candidates.append(m)
+    if not candidates:
+        return None
     least = min(candidates, key=lambda m: (m.bit_count(), m))
     for c in candidates:
         if least & ~c:
@@ -413,40 +363,24 @@ def leftmost_tangle_separation(
         raise DomainError("tangles live on different oracles")
     if comparable(t1, t2):
         return None
-    oracle = t1.oracle
+    complement = t1.oracle.ground.complement
     limit = min(t1.order, t2.order)
     orders = range(limit) if known_order is None else (known_order,)
-    member1 = t1.member
     for q in orders:
-        candidates = []
-        for base in enumerate_bases(oracle, q):
-            if base.order != q:
-                continue
-            m = minimal_member_in_lattice(oracle, member1, base)
-            if m is None:
-                continue
-            if t2.member(oracle.ground.complement(m)):
-                candidates.append(m)
-        if candidates:
-            return _least_of(candidates)
+        m = _least_member_of_order(t1, q, accept=lambda m: t2.member(complement(m)))
+        if m is not None:
+            return m
     raise StructuralError("incomparable tangles admit no separation; oracle is not a tangle")
 
 
 def leftmost_tangle_set_separation(tangle: Tangle, x: int) -> Optional[int]:
     """The leftmost minimum (tangle, x)-separation: the least minimum-order
     member of the tangle disjoint from x.  None if no member avoids x."""
-    oracle = tangle.oracle
-    window = oracle.ground.complement(x)
+    window = tangle.oracle.ground.complement(x)
     for q in range(tangle.order):
-        candidates = []
-        for base in enumerate_bases(oracle, q):
-            if base.order != q:
-                continue
-            m = minimal_member_in_lattice(oracle, tangle.member, base, within=window)
-            if m is not None:
-                candidates.append(m)
-        if candidates:
-            return _least_of(candidates)
+        m = _least_member_of_order(tangle, q, within=window)
+        if m is not None:
+            return m
     return None
 
 

@@ -172,6 +172,31 @@ def test_env_var_size_guard(p3_path, monkeypatch, capsys):
     assert "brute-force branch width: 1" in out
 
 
+def test_env_var_size_guard_not_an_integer(p3_path, monkeypatch, capsys):
+    monkeypatch.setenv("TANGLEKIT_MAX_EXHAUSTIVE", "abc")
+    assert main(["tangles", "--order", "1", p3_path]) == 3
+    assert "TANGLEKIT_MAX_EXHAUSTIVE" in capsys.readouterr().err
+
+
+def test_decompose_rejects_negative_order(triforce_path, capsys):
+    assert main(["decompose", "--order", "-1", triforce_path]) == 3
+    assert main(["decompose", "--refined", "--order", "-1", triforce_path]) == 3
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_verify_rejects_malformed_documents(triforce_path, tmp_path, capsys):
+    cases = {
+        "not-json.json": "graph 7 9\n",
+        "no-order.json": json.dumps({"format": "tanglekit-decomposition"}),
+        "list.json": "[]",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["verify", str(path), triforce_path]) == 3, name
+        assert "parse error" in capsys.readouterr().err, name
+
+
 def test_round_trip_all_fixtures(tmp_path, capsys):
     """Emitted decompositions verify with zero violations on every fixture."""
     from conftest import grid3_graph

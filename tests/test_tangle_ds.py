@@ -147,6 +147,18 @@ def test_serialization_rejects_mismatch(triforce, p3):
         TangleDataStructure.from_json(p3, doc)
 
 
+def test_serialization_rejects_bad_levels_and_separators(triforce):
+    """Level orders must run 0, 1, 2, ... and separator ids lie below n."""
+    doc = build_structure(triforce.oracle, 2).to_json()
+    skipped = dict(doc, levels=[doc["levels"][0], doc["levels"][2]])
+    with pytest.raises(DomainError):
+        TangleDataStructure.from_json(triforce.oracle, skipped)
+    bad = json.loads(json.dumps(doc))
+    bad["levels"][2]["tree"]["separator"].append(triforce.oracle.ground.n)
+    with pytest.raises(DomainError):
+        TangleDataStructure.from_json(triforce.oracle, bad)
+
+
 def test_order_realized(triforce, grid3):
     ds = build_structure(triforce.oracle, 2)
     assert ds.order_realized(0)

@@ -164,11 +164,8 @@ def test_minimal_member_cross_check(k4, c5rank):
 def test_exists_tangle_avoiding_examples(triforce):
     oracle = triforce.oracle
     full = triforce.full
-    unit = build_structure(oracle, 1).tangle(2)
-    assert exists_tangle_avoiding(oracle, 2, [full & ~triforce.t1], base_tangle=unit)
-    assert not exists_tangle_avoiding(
-        oracle, 2, [full & ~t for t in triforce.triangles], base_tangle=unit
-    )
+    assert exists_tangle_avoiding(oracle, 2, [full & ~triforce.t1])
+    assert not exists_tangle_avoiding(oracle, 2, [full & ~t for t in triforce.triangles])
     assert exists_tangle_avoiding(oracle, 0)
 
 
@@ -381,11 +378,21 @@ def test_signature_sets_are_members(triforce, k4):
 def _round_robin_fixpoint(ctx, avoids):
     """Reference closure: every base against every window, round after round,
     until no update changes mu or two mu values cover the ground set.
+    Seeds mu(B) with each singleton {u} of order ord(B) that is B's b1 or,
+    when b1 is empty, lies outside b2 (no singleton is a member), and with
+    the greatest lattice member inside each avoided set.
     Returns (tangle exists, mu)."""
+    oracle = ctx.oracle
     mu = [0] * len(ctx.bases)
-    ctx._seed_singletons(mu)
-    for a in avoids:
-        ctx._seed_avoid(mu, a)
+    for i, base in enumerate(ctx.bases):
+        for u in range(oracle.ground.n):
+            bit = 1 << u
+            if oracle.evaluate(bit) == base.order and not bit & base.b2 and base.b1 in (0, bit):
+                mu[i] |= bit
+        for a in avoids:
+            r = box_min(oracle, base.b1, a & ~base.b2)
+            if r is not None and r[0] == base.order:
+                mu[i] |= r[2]
     while True:
         values = {v for v in mu if v}
         windows = {a | b for a in values for b in values}
@@ -412,7 +419,9 @@ def test_fixpoint_matches_round_robin(triforce, k4, p3, c5rank, grid3):
     for oracle in oracles:
         for order in (1, 2, 3):
             low = _low_order_sets(oracle, order)
-            families = [()] + [(x,) for x in low[1 :: max(1, len(low) // 6)]]
+            singles = [(x,) for x in low[1 :: max(1, len(low) // 6)]]
+            pairs = [(a, b) for (a,), (b,) in zip(singles, singles[1:])]
+            families = [()] + singles + pairs
             for avoids in families:
                 ctx = AvoidContext(oracle, order, avoids)
                 answer, mu = _round_robin_fixpoint(ctx, avoids)
