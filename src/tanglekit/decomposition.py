@@ -102,27 +102,8 @@ def branch_decomposition_from_leaf_sets(
 ) -> PartialDecomposition:
     """Build the exact partial decomposition determined by leaf sets that
     partition the ground set."""
-    xi: Dict[Tuple[int, int], int] = {}
-
-    def below(s: int, t: int) -> int:
-        # union of leaf sets in the component of t when edge s-t is removed
-        got = xi.get((s, t))
-        if got is not None:
-            return got
-        if len(adj[t]) == 1:
-            value = leaf_sets[t]
-        else:
-            value = 0
-            for u in adj[t]:
-                if u != s:
-                    value |= below(t, u)
-        xi[(s, t)] = value
-        return value
-
-    for a in adj:
-        for b in adj[a]:
-            below(a, b)
-            xi[(b, a)] = ground.full_mask & ~xi[(a, b)]
+    side = TreeDecomposition(ground, adj, {t: leaf_sets.get(t, 0) for t in adj}).edge_sep
+    xi = {(a, b): side(a, b) for a in adj for b in adj[a]}
     return PartialDecomposition(ground, dict(adj), xi)
 
 
@@ -219,6 +200,22 @@ def exactify(oracle: ConnectivityOracle, pd: PartialDecomposition) -> PartialDec
 # Nested families and tree decompositions.
 
 
+def _walk(
+    adj: Dict[int, Tuple[int, ...]], root: int, skip: Optional[int] = None
+) -> Dict[int, Optional[int]]:
+    """The parent of every node reachable from ``root`` without entering
+    ``skip`` (None for the root); each node comes after its parent."""
+    parent: Dict[int, Optional[int]] = {root: None}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        for u in adj[s]:
+            if u != skip and u not in parent:
+                parent[u] = s
+                stack.append(u)
+    return parent
+
+
 def check_nested(family: Iterable[int], full: int) -> bool:
     """Pairwise nestedness: for each pair, one of the four corner cells is empty."""
     fam = sorted(set(family))
@@ -243,9 +240,6 @@ class TreeDecomposition:
 
     def edges(self) -> List[Tuple[int, int]]:
         return sorted((a, b) for a in self.adj for b in self.adj[a] if a < b)
-
-    def neighbors(self, t: int) -> Tuple[int, ...]:
-        return self.adj[t]
 
     def edge_sep(self, s: int, t: int) -> int:
         """Union of the bags in the component of t after removing edge s-t."""
@@ -280,15 +274,7 @@ class TreeDecomposition:
         nodes = self.nodes()
         if len(self.edges()) != len(nodes) - 1:
             raise DomainError("decomposition graph is not a tree")
-        reached = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            t = frontier.pop()
-            for u in self.adj[t]:
-                if u not in reached:
-                    reached.add(u)
-                    frontier.append(u)
-        if len(reached) != len(nodes):
+        if len(_walk(self.adj, nodes[0])) != len(nodes):
             raise DomainError("decomposition graph is not connected")
 
 
@@ -324,33 +310,13 @@ def nested_to_tree(ground: GroundSet, family: Iterable[int]) -> TreeDecompositio
         inner = nset.difference(minimal).difference(full & ~x for x in minimal)
         adj, bags, root = build(frozenset(inner))
 
-        # cones relative to the root of the inner tree
-        cone: Dict[int, int] = {}
-        depth: Dict[int, int] = {root: 0}
-        order_walk = [root]
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            s = queue.pop()
-            for u in adj[s]:
-                if u != parent[s]:
-                    parent[u] = s
-                    depth[u] = depth[s] + 1
-                    queue.append(u)
-                    order_walk.append(u)
-
-        def compute_cone(t):
-            if t in cone:
-                return cone[t]
-            value = bags[t]
-            for u in adj[t]:
-                if u != parent[t]:
-                    value |= compute_cone(u)
-            cone[t] = value
-            return value
-
-        for t in adj:
-            compute_cone(t)
+        # depths and cones relative to the root of the inner tree
+        parent = _walk(adj, root)
+        depth: Dict[int, int] = {}
+        for t, p in parent.items():
+            depth[t] = 0 if p is None else depth[p] + 1
+        side = TreeDecomposition(ground, adj, bags).edge_sep
+        cone = {t: side(p, t) for t, p in parent.items() if p is not None}
 
         removed = 0
         for x in minimal:
@@ -430,13 +396,6 @@ class TangleTreeDecomposition:
     def oracle(self) -> ConnectivityOracle:
         return next(iter(self.tangles.values())).oracle
 
-    def tangle_nodes(self) -> FrozenSet[int]:
-        return frozenset(self.tau.values())
-
-    def hub_nodes(self) -> List[int]:
-        marked = self.tangle_nodes()
-        return [t for t in self.td.nodes() if t not in marked]
-
 
 def assign_tangle_nodes(td: TreeDecomposition, tangles: Dict[int, Tangle]) -> Dict[int, int]:
     """The unique injective tangle-to-node map for a matching nested family.
@@ -451,16 +410,7 @@ def assign_tangle_nodes(td: TreeDecomposition, tangles: Dict[int, Tangle]) -> Di
     def side(s: int, t: int) -> FrozenSet[int]:
         got = side_cache.get((s, t))
         if got is None:
-            members = {t}
-            frontier = [t]
-            while frontier:
-                a = frontier.pop()
-                for b in td.adj[a]:
-                    if b != s and b not in members:
-                        members.add(b)
-                        frontier.append(b)
-            got = frozenset(members)
-            side_cache[(s, t)] = got
+            got = side_cache[(s, t)] = frozenset(_walk(td.adj, t, skip=s))
         return got
 
     tau: Dict[int, int] = {}
@@ -684,8 +634,6 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
             if additions:
                 family |= additions
                 family |= {ground.full_mask & ~z for z in additions}
-                if not check_nested(family, ground.full_mask):
-                    raise StructuralError("canonical separation family stopped being nested")
                 td = nested_to_tree(ground, family)
         tau = assign_tangle_nodes(td, _maximal_tangle_map(ds, k + 1))
 
@@ -761,14 +709,7 @@ class DirectedTreeDecomposition:
         return out
 
     def descendants(self, t: int) -> FrozenSet[int]:
-        out = {t}
-        frontier = [t]
-        while frontier:
-            a = frontier.pop()
-            for b in self.children[a]:
-                out.add(b)
-                frontier.append(b)
-        return frozenset(out)
+        return frozenset(_walk(self.children, t))
 
 
 def directed_decomposition(
@@ -800,16 +741,7 @@ def directed_decomposition(
     root = base.tau[root_index]
     td = base.td
 
-    # orient the undirected tree away from the root
-    parent0: Dict[int, Optional[int]] = {root: None}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        for u in td.adj[s]:
-            if u not in parent0:
-                parent0[u] = s
-                stack.append(u)
-
+    parent0 = _walk(td.adj, root)  # the undirected tree oriented away from the root
     cone0 = {t: (full if t == root else td.edge_sep(parent0[t], t)) for t in td.nodes()}
 
     node_of = dict(base.tau)  # tangle index -> undirected node
@@ -837,19 +769,11 @@ def directed_decomposition(
 
     # move "bad" nodes (cone not inside the parent's cone) up the tree
     while True:
+        children = {t: tuple(u for u in V if parent[u] == t) for t in V}
         bad = {t for t in V if parent[t] is not None and gamma[t] & ~gamma[parent[t]]}
         if not bad:
             break
-        under: Dict[int, FrozenSet[int]] = {}
-
-        def below(t: int) -> set:
-            out = {t}
-            for u in V:
-                if parent[u] == t:
-                    out |= below(u)
-            return out
-
-        moved = [u for u in bad if not (below(u) - {u}) & bad]
+        moved = [u for u in bad if not bad & (_walk(children, u).keys() - {u})]
         plan = []
         for u in sorted(moved):
             s = parent[u]
@@ -864,13 +788,6 @@ def directed_decomposition(
             plan.append((u, best))
         for u, s in plan:
             parent[u] = s
-
-    children: Dict[int, Tuple[int, ...]] = {t: () for t in V}
-    for t in V:
-        p = parent[t]
-        if p is not None:
-            children[p] = tuple(list(children[p]) + [t])
-    children = {t: tuple(sorted(u)) for t, u in children.items()}
 
     tau = {tangle_at[t]: t for t in V}
     dtd = DirectedTreeDecomposition(
@@ -926,55 +843,37 @@ def verify_tree_decomposition(ttd: TangleTreeDecomposition) -> VerificationRepor
                 else:
                     pair_sep[(i, j)] = z
 
-    def path(a: int, b: int) -> List[int]:
-        prev = {a: None}
-        frontier = [a]
-        while frontier:
-            t = frontier.pop()
-            if t == b:
-                break
-            for u in td.adj[t]:
-                if u not in prev:
-                    prev[u] = t
-                    frontier.append(u)
-        out = [b]
-        while out[-1] != a:
-            out.append(prev[out[-1]])
-        return out[::-1]
+    def hops(a: int, b: int):
+        """The edges (t1, t2) of the path from a to b, in path order."""
+        toward_b = _walk(td.adj, b)
+        while a != b:
+            yield a, toward_b[a]
+            a = toward_b[a]
 
     def is_min_sep(i: int, j: int, z: int) -> bool:
-        if (i, j) not in pair_sep:
-            return False
         if oracle.evaluate(z) != oracle.evaluate(pair_sep[(i, j)]):
             return False
         ti, tj = ttd.tangles[i], ttd.tangles[j]
         return ti.member(z) and tj.member(oracle.ground.complement(z))
 
     # Some edge on the connecting path must realize a minimum separation
-    # of the pair.
-    for (i, j), z in pair_sep.items():
-        nodes = path(ttd.tau[i], ttd.tau[j])
-        hops = list(zip(nodes, nodes[1:]))
-        if not any(is_min_sep(i, j, td.edge_sep(t2, t1)) for t1, t2 in hops):
+    # of the pair, and every edge must realize one for some pair whose
+    # connecting path uses it.
+    realized = set()
+    for i, j in pair_sep:
+        good = [
+            (min(t1, t2), max(t1, t2))
+            for t1, t2 in hops(ttd.tau[i], ttd.tau[j])
+            if is_min_sep(i, j, td.edge_sep(t2, t1))
+        ]
+        if not good:
             v.append(
                 f"no edge between the nodes of tangles {i} and {j} realizes "
                 "a minimum separation of the pair"
             )
-
-    # Every edge must realize a minimum separation for some tangle pair
-    # whose connecting path uses it.
+        realized.update(good)
     for a, b in td.edges():
-        ok = False
-        for (i, j) in pair_sep:
-            nodes = path(ttd.tau[i], ttd.tau[j])
-            hops = list(zip(nodes, nodes[1:]))
-            if (a, b) in hops and is_min_sep(i, j, td.edge_sep(b, a)):
-                ok = True
-                break
-            if (b, a) in hops and is_min_sep(i, j, td.edge_sep(a, b)):
-                ok = True
-                break
-        if not ok:
+        if (a, b) not in realized:
             v.append(f"edge {a}-{b} does not realize a minimum separation for any pair")
 
     # Every neighbor side of a tangle node must belong to the tangle.

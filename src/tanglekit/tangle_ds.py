@@ -219,14 +219,22 @@ class TangleDataStructure:
 
     @staticmethod
     def from_json(oracle: ConnectivityOracle, doc: dict) -> "TangleDataStructure":
-        if doc.get("format") != FORMAT_NAME or doc.get("version") != FORMAT_VERSION:
+        if (
+            not isinstance(doc, dict)
+            or doc.get("format") != FORMAT_NAME
+            or doc.get("version") != FORMAT_VERSION
+        ):
             raise DomainError("not a tangle structure document")
         if doc.get("n") != oracle.ground.n:
             raise DomainError("structure was built for a different ground set size")
+        if not isinstance(doc.get("levels"), list):
+            raise DomainError("structure document lacks a list of levels")
         ds = TangleDataStructure(oracle)
         ds.levels = []
         n, full = oracle.ground.n, oracle.ground.full_mask
         for k, entry in enumerate(doc["levels"]):
+            if not isinstance(entry, dict) or "order" not in entry or "tree" not in entry:
+                raise DomainError(f"level {k} is not an object with an order and a tree")
             if entry["order"] != k:
                 raise DomainError(f"level {k} has order {entry['order']}; orders run 0, 1, 2, ...")
             paths: List[Tuple[int, ...]] = []
@@ -234,14 +242,21 @@ class TangleDataStructure:
             def decode(node, path):
                 if node is None:
                     return None
+                if not isinstance(node, dict):
+                    raise DomainError("tree node is not an object")
                 if "leaf" in node:
                     paths.append(path)
-                    if node["leaf"] != len(paths) - 1:
-                        raise DomainError("leaf numbering out of order")
+                    if type(node["leaf"]) is not int or node["leaf"] != len(paths) - 1:
+                        raise DomainError("leaves must be integers numbered 0, 1, 2, ... in order")
                     return ("leaf", node["leaf"])
-                if any(not 0 <= b < n for b in node["separator"]):
+                if not {"separator", "contains", "avoids"} <= node.keys():
+                    raise DomainError("split node lacks a separator, contains or avoids")
+                separator = node["separator"]
+                if not isinstance(separator, list) or any(type(b) is not int for b in separator):
+                    raise DomainError("separator is not a list of element ids")
+                if any(not 0 <= b < n for b in separator):
                     raise DomainError(f"separator element out of range 0..{n - 1}")
-                sep = sum(1 << b for b in node["separator"])
+                sep = sum(1 << b for b in separator)
                 yes = decode(node["contains"], path + (sep,))
                 no = decode(node["avoids"], path + (full & ~sep,))
                 return ("split", sep, yes, no)
@@ -256,6 +271,7 @@ def build_structure(oracle: ConnectivityOracle, k: int) -> TangleDataStructure:
 
     Safe to call from several threads: all callers get the same structure.
     """
+    _check_order(k)
     ds = oracle.caches.get("tangle_ds")
     if ds is None:
         # setdefault is atomic, so racing callers agree on one structure.

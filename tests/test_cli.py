@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, outputs, exit codes, reproducibility."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import TRIFORCE_EDGES
 TRIFORCE_FILE = "graph 7 9\n" + "\n".join(f"{u} {v}" for u, v in TRIFORCE_EDGES) + "\n"
 P3_FILE = "graph 3 2\n0 1\n1 2\n"
 MATRIX_FILE = "matrix 2 4\n1011\n0111\n"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -182,6 +184,28 @@ def test_decompose_rejects_negative_order(triforce_path, capsys):
     assert main(["decompose", "--order", "-1", triforce_path]) == 3
     assert main(["decompose", "--refined", "--order", "-1", triforce_path]) == 3
     assert "nonnegative" in capsys.readouterr().err
+
+
+def test_tangles_and_directed_reject_negative_order(triforce_path, capsys):
+    assert main(["tangles", "--order", "-1", triforce_path]) == 3
+    assert "error: tangle orders are nonnegative, got -1" in capsys.readouterr().err
+    assert main(["directed", "--order", "-1", "--root-index", "1", triforce_path]) == 3
+    assert "error: tangle orders are nonnegative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["directed", "--root-index", "3"], "triforce_directed_root3.json"),
+        (["directed", "--root-index", "4"], "triforce_directed_root4.json"),
+        (["directed", "--root-index", "5"], "triforce_directed_root5.json"),
+        (["decompose", "--refined"], "triforce_decompose_refined.json"),
+    ],
+)
+def test_golden_triforce_documents(triforce_path, capsys, argv, golden):
+    """The triforce's directed and refined documents are pinned byte for byte."""
+    assert main(argv + ["--order", "2", triforce_path]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / golden).read_text()
 
 
 def test_verify_rejects_malformed_documents(triforce_path, tmp_path, capsys):

@@ -458,3 +458,28 @@ def test_verify_refined_decomposition(triforce):
     report = verify_refined_decomposition(oracle, single, 2)
     assert not report.ok
     assert report.violations == ["contraction at node 0 does not have exactly one maximal tangle"]
+
+
+def test_verifier_path_conditions(triforce):
+    """Moving one element between two leaf bags breaks the pair, edge and
+    neighbor-side conditions, each for exactly the pairs and edges it touches."""
+    from tanglekit.decomposition import TangleTreeDecomposition, TreeDecomposition
+
+    ttd = canonical_decomposition(triforce.oracle, 2)
+    td = ttd.td
+    first, second = [t for t in td.nodes() if td.bags[t]][:2]
+    lowest = td.bags[first] & -td.bags[first]
+    bags = dict(td.bags)
+    bags[first] &= ~lowest
+    bags[second] |= lowest
+    mutated = TangleTreeDecomposition(
+        TreeDecomposition(td.ground, td.adj, bags), ttd.tau, ttd.tangles, ttd.ds
+    )
+    assert verify_tangle_decomposition(mutated).violations == [
+        "no edge between the nodes of tangles 3 and 5 realizes a minimum separation of the pair",
+        "no edge between the nodes of tangles 5 and 3 realizes a minimum separation of the pair",
+        "edge 0-1 does not realize a minimum separation for any pair",
+        "edge 0-2 does not realize a minimum separation for any pair",
+        "side toward neighbor 0 is not a member of tangle 3",
+        "side toward neighbor 0 is not a member of tangle 5",
+    ]

@@ -159,6 +159,44 @@ def test_serialization_rejects_bad_levels_and_separators(triforce):
         TangleDataStructure.from_json(triforce.oracle, bad)
 
 
+def _edit_split(key, value=None):
+    """Drop ``key`` from the order-2 root split node, or set it to ``value``."""
+
+    def mutate(doc):
+        node = doc["levels"][2]["tree"]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda doc: [doc], id="document-not-a-dict"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "levels"}, id="no-levels"),
+        pytest.param(lambda doc: dict(doc, levels={"0": doc["levels"][0]}), id="levels-not-a-list"),
+        pytest.param(lambda doc: dict(doc, levels=[[0, None]]), id="level-not-a-dict"),
+        pytest.param(lambda doc: dict(doc, levels=[{"tree": {"leaf": 0}}]), id="level-without-order"),
+        pytest.param(lambda doc: dict(doc, levels=[{"order": 0}]), id="level-without-tree"),
+        pytest.param(_edit_split("separator"), id="no-separator"),
+        pytest.param(_edit_split("contains"), id="no-contains"),
+        pytest.param(_edit_split("avoids"), id="no-avoids"),
+        pytest.param(_edit_split("separator", "016"), id="separator-a-string"),
+        pytest.param(lambda doc: dict(doc, levels=[{"order": 0, "tree": {"leaf": 0.0}}]), id="leaf-a-float"),
+    ],
+)
+def test_serialization_rejects_malformed_shapes(triforce, mutate):
+    """A document of the wrong shape raises DomainError, never a KeyError,
+    TypeError or AttributeError."""
+    doc = json.loads(json.dumps(build_structure(triforce.oracle, 2).to_json()))
+    with pytest.raises(DomainError):
+        TangleDataStructure.from_json(triforce.oracle, mutate(doc))
+
+
 def test_order_realized(triforce, grid3):
     ds = build_structure(triforce.oracle, 2)
     assert ds.order_realized(0)
