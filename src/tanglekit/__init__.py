@@ -60,7 +60,6 @@ from .tangles import (
     leftmost_tangle_separation,
     leftmost_tangle_set_separation,
     max_tangle_order,
-    membership,
     minimal_member_in_box,
     minimal_member_in_lattice,
     tangle_lattice_bottom,

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import emit
 from .connectivity import (
@@ -31,6 +31,7 @@ from .connectivity import (
 )
 from .decomposition import (
     TangleTreeDecomposition,
+    VerificationReport,
     canonical_decomposition,
     directed_decomposition,
     refine_single_tangle,
@@ -151,7 +152,8 @@ def cmd_branchwidth(args) -> int:
     value = max_tangle_order(oracle)
     print(f"branch width (max tangle order): {value}")
     if args.brute:
-        reference = brute_force_branch_width(oracle, max_ground=args.max_exhaustive or 7)
+        bound = 7 if args.max_exhaustive is None else args.max_exhaustive
+        reference = brute_force_branch_width(oracle, max_ground=bound)
         print(f"brute-force branch width: {reference}")
         if reference != value:
             print("MISMATCH between duality value and brute force")
@@ -160,35 +162,45 @@ def cmd_branchwidth(args) -> int:
     return EXIT_OK
 
 
-def cmd_decompose(args) -> int:
-    oracle = _load(args)
-    if args.refined:
-        td = refine_single_tangle(oracle, args.order)
+def _decomposition(
+    oracle: ConnectivityOracle, kind: str, order: int, refined: bool, root_index: Optional[int]
+) -> Tuple[dict, Callable[[], VerificationReport]]:
+    """The document of one decomposition, and a function that verifies the
+    decomposition it was emitted from."""
+    if kind == "directed":
+        dtd = directed_decomposition(oracle, order, root_index)
+        doc = emit.directed_decomposition_document(oracle, dtd, order, root_index)
+        return doc, lambda: verify_directed_decomposition(dtd)
+    if refined:
+        td = refine_single_tangle(oracle, order)
         doc = emit.tree_decomposition_document(
-            oracle, TangleTreeDecomposition(td, {}, {}, None), args.order, refined=True
+            oracle, TangleTreeDecomposition(td, {}, {}, None), order, refined=True
         )
-    else:
-        ttd = canonical_decomposition(oracle, args.order)
-        doc = emit.tree_decomposition_document(oracle, ttd, args.order)
-    text = emit.document_to_json(doc)
-    sys.stdout.write(text)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(emit.document_to_dot(doc))
-    _print_stats(args, oracle)
-    return EXIT_OK
+        return doc, lambda: verify_refined_decomposition(oracle, td, order)
+    ttd = canonical_decomposition(oracle, order)
+    doc = emit.tree_decomposition_document(oracle, ttd, order)
+    return doc, lambda: verify_tree_decomposition(ttd)
 
 
-def cmd_directed(args) -> int:
-    oracle = _load(args)
-    dtd = directed_decomposition(oracle, args.order, args.root_index)
-    doc = emit.directed_decomposition_document(oracle, dtd, args.order, args.root_index)
+def _write(args, oracle: ConnectivityOracle, doc: dict) -> int:
     sys.stdout.write(emit.document_to_json(doc))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(emit.document_to_dot(doc))
     _print_stats(args, oracle)
     return EXIT_OK
+
+
+def cmd_decompose(args) -> int:
+    oracle = _load(args)
+    doc, _ = _decomposition(oracle, "tree", args.order, args.refined, None)
+    return _write(args, oracle, doc)
+
+
+def cmd_directed(args) -> int:
+    oracle = _load(args)
+    doc, _ = _decomposition(oracle, "directed", args.order, False, args.root_index)
+    return _write(args, oracle, doc)
 
 
 def cmd_verify(args) -> int:
@@ -207,23 +219,11 @@ def cmd_verify(args) -> int:
         or doc["kind"] == "directed" and not isinstance(doc.get("rootIndex"), int)
     ):
         raise ParseError("decomposition document lacks a valid order, kind or rootIndex")
-    if doc["kind"] == "tree" and doc.get("refined"):
-        td = refine_single_tangle(oracle, order)
-        fresh = emit.tree_decomposition_document(
-            oracle, TangleTreeDecomposition(td, {}, {}, None), order, refined=True
-        )
-        report = verify_refined_decomposition(oracle, td, order)
-        same = fresh == doc
-    elif doc["kind"] == "tree":
-        ttd = canonical_decomposition(oracle, order)
-        fresh = emit.tree_decomposition_document(oracle, ttd, order)
-        report = verify_tree_decomposition(ttd)
-        same = fresh == doc
-    else:
-        dtd = directed_decomposition(oracle, order, doc["rootIndex"])
-        fresh = emit.directed_decomposition_document(oracle, dtd, order, doc["rootIndex"])
-        report = verify_directed_decomposition(dtd)
-        same = fresh == doc
+    fresh, check = _decomposition(
+        oracle, doc["kind"], order, doc.get("refined"), doc.get("rootIndex")
+    )
+    report = check()
+    same = fresh == doc
     for line in report.violations:
         print(f"violation: {line}")
     if not same:
@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
 def cmd_selfcheck(args) -> int:
     oracle = _load(args)
     failures = 0
-    bound = args.max_exhaustive or 12
+    bound = 12 if args.max_exhaustive is None else args.max_exhaustive
     axioms = verify_axioms(oracle, exhaustive_limit=bound, seed=args.seed)
     print(f"axioms: {'ok' if axioms.ok else axioms.violation} ({axioms.mode}, {axioms.checks} checks)")
     failures += 0 if axioms.ok else 1

@@ -93,17 +93,6 @@ class GroundSet:
     def complement(self, mask: int) -> int:
         return self.full_mask & ~mask
 
-    def mask_of(self, elements: Iterable[int]) -> int:
-        mask = 0
-        for e in elements:
-            if not 0 <= e < self.n:
-                raise DomainError(f"element {e} outside ground set of size {self.n}")
-            mask |= 1 << e
-        return mask
-
-    def elements(self, mask: int) -> List[int]:
-        return bits_list(mask)
-
     def label(self, e: int) -> str:
         if self.labels is not None:
             return self.labels[e]

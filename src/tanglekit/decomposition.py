@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .connectivity import ConnectivityOracle, GroundSet, bits_list
 from .errors import DomainError, IntegrityError, StructuralError
-from .tangle_ds import TangleDataStructure, build_structure
+from .tangle_ds import TangleDataStructure, _check_order, build_structure
 from .tangles import (
     Tangle,
     leftmost_tangle_separation,
@@ -432,13 +432,6 @@ def assign_tangle_nodes(td: TreeDecomposition, tangles: Dict[int, Tangle]) -> Di
         if node in tau.values():
             raise IntegrityError("tangle-to-node assignment is not injective")
         tau[key] = node
-
-    for key, node in tau.items():
-        tangle = tangles[key]
-        for u in td.adj[node]:
-            toward = td.edge_sep(u, node)
-            if tangle.oracle.evaluate(toward) >= tangle.order or not tangle.member(toward):
-                raise IntegrityError(f"tangle {key} at node {node}: neighbor side not a member")
     return tau
 
 
@@ -581,10 +574,6 @@ def project_tangle(tangle: Tangle, contraction: Contraction) -> Optional[Tangle]
 # The canonical decomposition.
 
 
-def _maximal_tangle_map(ds: TangleDataStructure, order: int) -> Dict[int, Tangle]:
-    return {i: ds.tangle(i) for i in maximal_indices(ds, order)}
-
-
 def maximal_indices(ds: TangleDataStructure, order: int) -> List[int]:
     """Indices of the tangles maximal among all of order at most ``order``."""
     ds.ensure(order)
@@ -601,7 +590,8 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
     Level by level: every tangle node whose tangle has extensions one order
     up is contracted, the extensions are projected onto the contraction and
     separated there by a coherent nested family, and the expanded separations
-    are merged into the global family, which stays nested.
+    are merged into the global family, which stays nested.  ``tangles`` holds
+    the maximal tangles of order <= order, in index order.
     """
     if order < 0:
         raise DomainError(f"decomposition orders are nonnegative, got {order}")
@@ -609,36 +599,36 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
     ground = oracle.ground
     family: set = set()
     td = nested_to_tree(ground, family)
-    tau = assign_tangle_nodes(td, _maximal_tangle_map(ds, 0))
+    maximal = {1: ds.tangle(1)}  # the order-0 tangle
+    tau = assign_tangle_nodes(td, maximal)
 
     for k in range(order):
-        upper = ds.indices_of_order(k + 1)
-        if upper:
-            additions: set = set()
-            for i, node in sorted(tau.items()):
-                if ds.tangle_order(i) != k:
-                    continue
-                extensions = [j for j in upper if ds.truncation(j, k) == i]
-                if len(extensions) < 2:
-                    continue
-                con = contract_at(oracle, td, node)
-                sub_ds = build_structure(con.oracle, k + 1)
-                projected = []
-                for j in extensions:
-                    pt = project_tangle(ds.tangle(j), con)
-                    if pt is None:
-                        raise IntegrityError("extension tangle contains a contracted branch")
-                    projected.append(sub_ds.find(k + 1, pt.member))
-                for z in coherent_nested_family(sub_ds, projected):
-                    additions.add(con.expand(z))
-            if additions:
-                family |= additions
-                family |= {ground.full_mask & ~z for z in additions}
-                td = nested_to_tree(ground, family)
-        tau = assign_tangle_nodes(td, _maximal_tangle_map(ds, k + 1))
+        truncation = {j: ds.truncation(j, k) for j in ds.indices_of_order(k + 1)}
+        additions: set = set()
+        for i, node in sorted(tau.items()):
+            extensions = [j for j, below in truncation.items() if below == i]
+            if len(extensions) < 2:
+                continue
+            con = contract_at(oracle, td, node)
+            sub_ds = build_structure(con.oracle, k + 1)
+            projected = []
+            for j in extensions:
+                pt = project_tangle(ds.tangle(j), con)
+                if pt is None:
+                    raise IntegrityError("extension tangle contains a contracted branch")
+                projected.append(sub_ds.find(k + 1, pt.member))
+            for z in coherent_nested_family(sub_ds, projected):
+                additions.add(con.expand(z))
+        if additions:
+            family |= additions
+            family |= {ground.full_mask & ~z for z in additions}
+            td = nested_to_tree(ground, family)
+        for j, below in truncation.items():
+            maximal.pop(below, None)
+            maximal[j] = ds.tangle(j)
+        tau = assign_tangle_nodes(td, maximal)
 
-    tangles = _maximal_tangle_map(ds, order)
-    return TangleTreeDecomposition(td, tau, tangles, ds)
+    return TangleTreeDecomposition(td, tau, maximal, ds)
 
 
 def _is_singleton_star(td: TreeDecomposition) -> bool:
@@ -717,35 +707,25 @@ def directed_decomposition(
 ) -> DirectedTreeDecomposition:
     """The rooted decomposition with one maximal tangle per node and cones.
 
-    Starts from the canonical undirected decomposition rooted at the chosen
-    tangle's node, keeps only tangle nodes, assigns each node the leftmost
-    minimum separation of its tangle toward the outside of its undirected
-    cone, and reattaches nodes whose cone escaped their parent to the deepest
-    ancestor whose cone still contains them.
+    Reads the canonical undirected decomposition's maximal tangles and their
+    nodes, roots it at the chosen tangle's node, keeps only tangle nodes,
+    assigns each node the leftmost minimum separation of its tangle toward
+    the outside of its undirected cone, and reattaches nodes whose cone
+    escaped their parent to the deepest ancestor whose cone still contains
+    them.
     """
-    ds = build_structure(oracle, order)
-    maximal = maximal_indices(ds, order)
-    if root_index not in maximal:
-        raise DomainError(f"index {root_index} is not a maximal tangle at order {order}")
+    _check_order(order)
     base = canonical_decomposition(oracle, order)
+    if root_index not in base.tangles:
+        raise DomainError(f"index {root_index} is not a maximal tangle at order {order}")
     full = oracle.ground.full_mask
-    tangles = {i: ds.tangle(i) for i in maximal}
-
-    if len(maximal) == 1:
-        node = base.tau[root_index]
-        return DirectedTreeDecomposition(
-            oracle.ground, node, {node: None}, {node: ()}, {node: full},
-            {root_index: node}, tangles, ds,
-        )
-
     root = base.tau[root_index]
     td = base.td
 
     parent0 = _walk(td.adj, root)  # the undirected tree oriented away from the root
     cone0 = {t: (full if t == root else td.edge_sep(parent0[t], t)) for t in td.nodes()}
 
-    node_of = dict(base.tau)  # tangle index -> undirected node
-    tangle_at = {node: i for i, node in node_of.items()}
+    tangle_at = {node: i for i, node in base.tau.items()}
     V = sorted(tangle_at)
 
     def tangle_ancestor(t: int) -> Optional[int]:
@@ -762,7 +742,7 @@ def directed_decomposition(
     for t in V:
         if t == root:
             continue
-        g = leftmost_tangle_set_separation(tangles[tangle_at[t]], full & ~cone0[t])
+        g = leftmost_tangle_set_separation(base.tangles[tangle_at[t]], full & ~cone0[t])
         if g is None:
             raise IntegrityError("tangle has no member inside its own cone")
         gamma[t] = g
@@ -789,15 +769,9 @@ def directed_decomposition(
         for u, s in plan:
             parent[u] = s
 
-    tau = {tangle_at[t]: t for t in V}
-    dtd = DirectedTreeDecomposition(
-        oracle.ground, root, parent, children, gamma, tau, tangles, ds
+    return DirectedTreeDecomposition(
+        oracle.ground, root, parent, children, gamma, base.tau, base.tangles, base.ds
     )
-    for t in V:
-        for u1, u2 in itertools.combinations(children[t], 2):
-            if gamma[u1] & gamma[u2]:
-                raise StructuralError("sibling cones intersect")
-    return dtd
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +881,6 @@ def verify_directed_decomposition(dtd: DirectedTreeDecomposition) -> Verificatio
     """Literal check of the two directed conditions plus cone structure."""
     v: List[str] = []
     full = dtd.ground.full_mask
-    oracle = next(iter(dtd.tangles.values())).oracle
     if dtd.gamma[dtd.root] != full:
         v.append("root cone is not the ground set")
     for t in dtd.nodes():
@@ -928,15 +901,21 @@ def verify_directed_decomposition(dtd: DirectedTreeDecomposition) -> Verificatio
         v.append("tau is not a bijection onto the nodes")
 
     node_tangle = {node: dtd.tangles[i] for i, node in dtd.tau.items()}
+    below = {u: dtd.descendants(u) for u in dtd.nodes()}
+    pair_sep: Dict[Tuple[int, int], Optional[int]] = {}
+
+    def sep(t: int, u: int) -> Optional[int]:
+        if (t, u) not in pair_sep:
+            pair_sep[(t, u)] = leftmost_tangle_separation(node_tangle[t], node_tangle[u])
+        return pair_sep[(t, u)]
 
     # Whenever t is not below u, some minimum separation of the pair must
     # contain the cone of u; the rightmost one does iff any does.
     for u in dtd.nodes():
-        below_u = dtd.descendants(u)
         for t in dtd.nodes():
-            if t == u or t in below_u:
+            if t in below[u]:
                 continue
-            z = leftmost_tangle_separation(node_tangle[t], node_tangle[u])
+            z = sep(t, u)
             if z is None:
                 v.append(f"tangles at nodes {t} and {u} are comparable")
                 continue
@@ -952,16 +931,7 @@ def verify_directed_decomposition(dtd: DirectedTreeDecomposition) -> Verificatio
     for t in dtd.nodes():
         if t == dtd.root:
             continue
-        below_t = dtd.descendants(t)
-        ok = False
-        for u in dtd.nodes():
-            if u in below_t:
-                continue
-            z = leftmost_tangle_separation(node_tangle[t], node_tangle[u])
-            if z == dtd.gamma[t]:
-                ok = True
-                break
-        if not ok:
+        if not any(sep(t, u) == dtd.gamma[t] for u in dtd.nodes() if u not in below[t]):
             v.append(
                 f"cone of node {t} is not a leftmost minimum separation "
                 "toward any non-descendant tangle"

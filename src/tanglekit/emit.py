@@ -51,9 +51,9 @@ def canonical_root(adj, labels):
     return min(alive, key=lambda t: code(t, None)), code
 
 
-def _canonical_order(adj, labels) -> List[int]:
-    """Nodes in canonical DFS order from a code-minimal center."""
-    root, code = canonical_root(adj, labels)
+def _canonical_order(adj, root, code) -> List[int]:
+    """Nodes in DFS order from ``root``, each node's children ordered by
+    their subtree codes."""
     order: List[int] = []
 
     def walk(t, parent):
@@ -74,7 +74,7 @@ def tree_decomposition_document(
         t: (tuple(bits_list(td.bags[t])), ttd.tangles[tangle_at[t]].order if t in tangle_at else -1)
         for t in td.nodes()
     }
-    ordering = _canonical_order(td.adj, labels)
+    ordering = _canonical_order(td.adj, *canonical_root(td.adj, labels))
     rename = {t: i for i, t in enumerate(ordering)}
 
     nodes = []
@@ -122,14 +122,7 @@ def directed_decomposition_document(
     tangle_at = {node: i for i, node in dtd.tau.items()}
     bags = dtd.bags()
     code = _subtree_codes(dtd.children, {t: tuple(bits_list(dtd.gamma[t])) for t in dtd.children})
-    ordering: List[int] = []
-
-    def walk(t):
-        ordering.append(t)
-        for u in sorted(dtd.children[t], key=lambda u: code(u, t)):
-            walk(u)
-
-    walk(dtd.root)
+    ordering = _canonical_order(dtd.children, dtd.root, code)
     rename = {t: i for i, t in enumerate(ordering)}
 
     nodes = []

@@ -88,10 +88,6 @@ def brute_force_tangles(
     return results
 
 
-def brute_force_tangle_count(oracle: ConnectivityOracle, order: int, **kw) -> int:
-    return len(brute_force_tangles(oracle, order, **kw))
-
-
 # ---------------------------------------------------------------------------
 # Branch width by exhaustive cubic-tree enumeration.
 

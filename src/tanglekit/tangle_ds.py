@@ -103,7 +103,13 @@ class TangleDataStructure:
         if self.order() < k:
             with self._build_lock:
                 while self.order() < k:
-                    self.levels.append(_build_level(self.oracle, self.order() + 1))
+                    # A tangle's truncation is a tangle: above an empty level
+                    # every level is empty.
+                    nxt = self.order() + 1
+                    if self.levels[-1].tree is None:
+                        self.levels.append(_Level(nxt, None, []))
+                    else:
+                        self.levels.append(_build_level(self.oracle, nxt))
         return self
 
     def size(self, k: int) -> int:

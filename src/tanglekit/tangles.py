@@ -75,10 +75,6 @@ def empty_tangle(oracle: ConnectivityOracle) -> Tangle:
     return Tangle(oracle, 0, ())
 
 
-def membership(tangle: Tangle, x: int) -> bool:
-    return tangle.member(x)
-
-
 # ---------------------------------------------------------------------------
 # The avoidance fixpoint.
 

@@ -95,8 +95,17 @@ def test_decompose_verify_round_trip(triforce_path, tmp_path, capsys):
     assert "all conditions hold" in capsys.readouterr().out
 
 
-def test_verify_flags_tampering(triforce_path, tmp_path, capsys):
-    assert main(["decompose", "--order", "2", triforce_path]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose"],
+        ["decompose", "--refined"],
+        ["directed", "--root-index", "3"],
+    ],
+    ids=["decompose", "refined", "directed"],
+)
+def test_verify_flags_tampering(argv, triforce_path, tmp_path, capsys):
+    assert main(argv + ["--order", "2", triforce_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     doc["nodes"][0]["bag"] = [0]
     path = tmp_path / "tampered.json"
@@ -172,6 +181,11 @@ def test_env_var_size_guard(p3_path, monkeypatch, capsys):
     assert main(["branchwidth", "--brute", p3_path]) == 0
     out = capsys.readouterr().out
     assert "brute-force branch width: 1" in out
+
+
+def test_zero_size_guard_is_not_the_default(p3_path, capsys):
+    assert main(["branchwidth", "--brute", "--max-exhaustive", "0", p3_path]) == 4
+    assert "size guard" in capsys.readouterr().err
 
 
 def test_env_var_size_guard_not_an_integer(p3_path, monkeypatch, capsys):

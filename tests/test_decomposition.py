@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tanglekit import (
     DomainError,
+    Graph,
     GroundSet,
     IntegrityError,
     assign_tangle_nodes,
@@ -16,7 +17,9 @@ from tanglekit import (
     check_nested,
     coherent_nested_family,
     contract_at,
+    cut_rank_fn,
     directed_decomposition,
+    edge_boundary_fn,
     exactify,
     maximal_indices,
     nested_to_tree,
@@ -27,7 +30,7 @@ from tanglekit import (
 )
 from tanglekit.oracles import brute_force_branch_decomposition
 
-from conftest import random_nonexact_decomposition, random_partial_decomposition
+from conftest import chain_k4_vertex_cut, random_nonexact_decomposition, random_partial_decomposition
 
 
 # --- exactness -------------------------------------------------------------
@@ -396,6 +399,28 @@ def test_directed_single_tangle(k4):
     assert len(dtd.nodes()) == 1
     assert dtd.gamma[dtd.root] == k4.ground.full_mask
     assert verify_tangle_decomposition(dtd).ok
+
+
+def test_directed_verifies_for_every_maximal_root():
+    petals = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8)]
+    flower = Graph.from_edges(9, [e for a, b, c in petals for e in ((a, b), (a, c), (b, c))])
+    cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    c5c5 = Graph.from_edges(10, cycles + [(0, 5)])
+    cases = [
+        (chain_k4_vertex_cut(3), 2),
+        (chain_k4_vertex_cut(3), 3),
+        (edge_boundary_fn(flower), 2),
+        (cut_rank_fn(c5c5), 2),
+    ]
+    for oracle, order in cases:
+        base = canonical_decomposition(oracle, order)
+        assert list(base.tangles) == maximal_indices(base.ds, order)
+        assert len(base.tangles) >= 2
+        assert verify_tangle_decomposition(base).ok
+        for root in base.tangles:
+            dtd = directed_decomposition(oracle, order, root)
+            assert verify_tangle_decomposition(dtd).ok
+            assert dtd.tau.keys() == base.tangles.keys()
 
 
 def test_directed_rejects_non_maximal_root(triforce):

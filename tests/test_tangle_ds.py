@@ -234,6 +234,13 @@ def test_concurrent_build_structure():
         assert len(ds) == 5
 
 
+def test_no_level_built_above_an_empty_one():
+    oracle = edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES))
+    ds = build_structure(oracle, 12)
+    assert [ds.count(k) for k in range(13)] == [1, 1, 3] + [0] * 10
+    assert sorted(oracle.cache("bases")) == [0, 1, 2]
+
+
 def test_negative_orders_are_rejected(triforce):
     ds = build_structure(triforce.oracle, 2)
     member = ds.tangle(3).member
