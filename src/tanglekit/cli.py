@@ -40,7 +40,6 @@ from .decomposition import (
     verify_tree_decomposition,
 )
 from .errors import DomainError, ParseError, SizeGuardError
-from .oracles import brute_force_branch_width, brute_force_tangles, canonicity_harness
 from .tangle_ds import build_structure
 from .tangles import max_tangle_order
 
@@ -118,12 +117,7 @@ def parse_instance(path: str, fn: str = "edge-boundary") -> ConnectivityOracle:
 
 
 def _load(args) -> ConnectivityOracle:
-    fn = args.fn
-    if fn is None:
-        with open(args.instance, "r", encoding="utf-8") as handle:
-            first = handle.readline().split()
-        fn = "matroid" if first and first[0] == "matrix" else "edge-boundary"
-    return parse_instance(args.instance, fn)
+    return parse_instance(args.instance, args.fn or "edge-boundary")
 
 
 def _print_stats(args, oracle: ConnectivityOracle) -> None:
@@ -152,6 +146,8 @@ def cmd_branchwidth(args) -> int:
     value = max_tangle_order(oracle)
     print(f"branch width (max tangle order): {value}")
     if args.brute:
+        from .oracles import brute_force_branch_width
+
         bound = 7 if args.max_exhaustive is None else args.max_exhaustive
         reference = brute_force_branch_width(oracle, max_ground=bound)
         print(f"brute-force branch width: {reference}")
@@ -236,6 +232,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .oracles import brute_force_branch_width, brute_force_tangles, canonicity_harness
+
     oracle = _load(args)
     failures = 0
     bound = 12 if args.max_exhaustive is None else args.max_exhaustive

@@ -118,8 +118,6 @@ def _rooted_exactify(oracle, children, values):
                 continue
             t1, t2 = pair
             x, y1, y2 = values[s], values[t1], values[t2]
-            if x & ~(y1 | y2):
-                raise StructuralError("rooted invariant broken: parent not covered by children")
             if x != y1 | y2 or y1 & y2:
                 node = s
                 break
@@ -189,11 +187,7 @@ def exactify(oracle: ConnectivityOracle, pd: PartialDecomposition) -> PartialDec
             xi[(t, s)] = full & ~values[t]
     xi[(sb, tb)] = values[tb]
     xi[(tb, sb)] = full & ~values[tb]
-    out = PartialDecomposition(pd.ground, dict(pd.adj), xi)
-    out.validate()
-    if not out.is_exact():
-        raise StructuralError("exactness rewrite terminated on an inexact decomposition")
-    return out
+    return PartialDecomposition(pd.ground, dict(pd.adj), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +336,7 @@ def nested_to_tree(ground: GroundSet, family: Iterable[int]) -> TreeDecompositio
         return adj, bags, root
 
     adj, bags, _ = build(fam)
-    td = TreeDecomposition(ground, {t: tuple(sorted(u)) for t, u in ((t, adj[t]) for t in adj)}, bags)
-    td.validate()
-    return td
+    return TreeDecomposition(ground, {t: tuple(sorted(u)) for t, u in adj.items()}, bags)
 
 
 def prune_empty_hubs(td: TreeDecomposition, protected=frozenset()) -> TreeDecomposition:
@@ -376,9 +368,7 @@ def prune_empty_hubs(td: TreeDecomposition, protected=frozenset()) -> TreeDecomp
             del bags[t]
             changed = True
             break
-    out = TreeDecomposition(td.ground, {t: tuple(sorted(u)) for t, u in adj.items()}, bags)
-    out.validate()
-    return out
+    return TreeDecomposition(td.ground, {t: tuple(sorted(u)) for t, u in adj.items()}, bags)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +472,13 @@ def coherent_nested_family(ds: TangleDataStructure, indices: Sequence[int]) -> F
     while len(indices) - len(separated) >= 2:
         remaining = [i for i in indices if i not in separated]
         zs = sorted({sep(i, j) for i in remaining for j in remaining if i != j})
-        minimal = [z for z in zs if not any(y != z and y & ~z == 0 for y in zs)]
-        if not minimal:
-            raise StructuralError("no inclusion-minimal separation found")
-        collected.update(minimal)
-        newly = {
+        collected.update(z for z in zs if not any(y != z and y & ~z == 0 for y in zs))
+        separated |= {
             i
             for i in indices
             if i not in separated
             and any(sep(i, j) in collected for j in indices if j != i)
         }
-        if not newly:
-            raise StructuralError("coherent separation rounds made no progress")
-        separated |= newly
 
     return frozenset(collected | {full & ~z for z in collected})
 
@@ -611,12 +595,10 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
                 continue
             con = contract_at(oracle, td, node)
             sub_ds = build_structure(con.oracle, k + 1)
-            projected = []
-            for j in extensions:
-                pt = project_tangle(ds.tangle(j), con)
-                if pt is None:
-                    raise IntegrityError("extension tangle contains a contracted branch")
-                projected.append(sub_ds.find(k + 1, pt.member))
+            projected = [
+                sub_ds.find(k + 1, lambda x, t=ds.tangle(j): t.member(con.expand(x)))
+                for j in extensions
+            ]
             for z in coherent_nested_family(sub_ds, projected):
                 additions.add(con.expand(z))
         if additions:
@@ -665,9 +647,7 @@ def refine_single_tangle(oracle: ConnectivityOracle, order: int) -> TreeDecompos
         if len(maximal_indices(sub_ds, order)) <= 1:
             continue
         refined = refine_single_tangle(con.oracle, order)
-        for z in refined.separations():
-            family.add(con.expand(z))
-            family.add(oracle.ground.full_mask & ~con.expand(z))
+        family.update(con.expand(z) for z in refined.separations())
     return nested_to_tree(oracle.ground, family)
 
 
@@ -708,11 +688,12 @@ def directed_decomposition(
     """The rooted decomposition with one maximal tangle per node and cones.
 
     Reads the canonical undirected decomposition's maximal tangles and their
-    nodes, roots it at the chosen tangle's node, keeps only tangle nodes,
-    assigns each node the leftmost minimum separation of its tangle toward
-    the outside of its undirected cone, and reattaches nodes whose cone
-    escaped their parent to the deepest ancestor whose cone still contains
-    them.
+    nodes, roots it at the chosen tangle's node and keeps only tangle nodes.
+    Each non-root node's cone is the leftmost minimum separation of its
+    tangle toward the outside of its undirected cone, and its parent is the
+    nearest tangle ancestor in the rooted undirected tree whose cone contains
+    that cone.  The root's cone is the ground set, so such an ancestor
+    always exists.
     """
     _check_order(order)
     base = canonical_decomposition(oracle, order)
@@ -721,54 +702,24 @@ def directed_decomposition(
     full = oracle.ground.full_mask
     root = base.tau[root_index]
     td = base.td
-
-    parent0 = _walk(td.adj, root)  # the undirected tree oriented away from the root
-    cone0 = {t: (full if t == root else td.edge_sep(parent0[t], t)) for t in td.nodes()}
-
     tangle_at = {node: i for i, node in base.tau.items()}
-    V = sorted(tangle_at)
 
-    def tangle_ancestor(t: int) -> Optional[int]:
-        a = parent0[t]
-        while a is not None and a not in tangle_at:
-            a = parent0[a]
-        return a
-
-    parent: Dict[int, Optional[int]] = {}
-    for t in V:
-        parent[t] = None if t == root else tangle_ancestor(t)
-
+    up = _walk(td.adj, root)  # the undirected tree oriented away from the root
+    parent: Dict[int, Optional[int]] = {root: None}
     gamma: Dict[int, int] = {root: full}
-    for t in V:
-        if t == root:
+    for t, s in up.items():
+        if t == root or t not in tangle_at:
             continue
-        g = leftmost_tangle_set_separation(base.tangles[tangle_at[t]], full & ~cone0[t])
+        g = leftmost_tangle_set_separation(base.tangles[tangle_at[t]], full & ~td.edge_sep(s, t))
         if g is None:
             raise IntegrityError("tangle has no member inside its own cone")
         gamma[t] = g
+        while s not in tangle_at or g & ~gamma[s]:
+            s = up[s]
+        parent[t] = s
 
-    # move "bad" nodes (cone not inside the parent's cone) up the tree
-    while True:
-        children = {t: tuple(u for u in V if parent[u] == t) for t in V}
-        bad = {t for t in V if parent[t] is not None and gamma[t] & ~gamma[parent[t]]}
-        if not bad:
-            break
-        moved = [u for u in bad if not bad & (_walk(children, u).keys() - {u})]
-        plan = []
-        for u in sorted(moved):
-            s = parent[u]
-            best = None
-            while s is not None:
-                if gamma[u] & ~gamma[s] == 0:
-                    best = s
-                    break
-                s = parent[s]
-            if best is None:
-                raise StructuralError("no ancestor cone contains a moved node's cone")
-            plan.append((u, best))
-        for u, s in plan:
-            parent[u] = s
-
+    nodes = sorted(parent)
+    children = {t: tuple(u for u in nodes if parent[u] == t) for t in nodes}
     return DirectedTreeDecomposition(
         oracle.ground, root, parent, children, gamma, base.tau, base.tangles, base.ds
     )

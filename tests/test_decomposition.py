@@ -28,6 +28,7 @@ from tanglekit import (
     verify_tangle_decomposition,
     width,
 )
+from tanglekit import decomposition
 from tanglekit.oracles import brute_force_branch_decomposition
 
 from conftest import chain_k4_vertex_cut, random_nonexact_decomposition, random_partial_decomposition
@@ -49,6 +50,7 @@ def test_exactify_random(triforce, k4):
         for _ in range(30):
             pd = random_nonexact_decomposition(oracle, rng)
             out = exactify(oracle, pd)
+            out.validate()
             assert out.is_exact()
             for a, b in pd.edges():
                 assert oracle.evaluate(out.xi[(a, b)]) <= oracle.evaluate(pd.xi[(a, b)])
@@ -113,8 +115,10 @@ def test_nested_to_tree_single_pair(triforce):
 
 def test_nested_to_tree_round_trip_deep(triforce):
     full = triforce.full
-    family = {triforce.t1, full & ~triforce.t1, triforce.t1 | triforce.t2,
-              full & ~(triforce.t1 | triforce.t2)}
+    t1, t2 = triforce.t1, triforce.t2
+    # three nested sets, so one peeled set hangs below the root of the inner tree
+    chain = (t1, t1 | (t2 & -t2), t1 | t2)
+    family = set(chain) | {full & ~x for x in chain}
     td = nested_to_tree(triforce.oracle.ground, family)
     assert td.separations() == frozenset(family)
 
@@ -423,6 +427,24 @@ def test_directed_verifies_for_every_maximal_root():
             assert dtd.tau.keys() == base.tangles.keys()
 
 
+def test_directed_reattaches_escaping_cones(monkeypatch):
+    # Each cone is replaced by the K4 block its tangle lives in.  Rooted at an
+    # end block, the far block's cone escapes the middle block's cone, so the
+    # far node must hang from the root, not from the middle node.
+    blocks = (0xF, 0xF0, 0xF00)
+
+    def block_of(tangle, outside):
+        return next(b for b in blocks if tangle.member(b))
+
+    monkeypatch.setattr(decomposition, "leftmost_tangle_set_separation", block_of)
+    oracle = chain_k4_vertex_cut(3)
+    base = canonical_decomposition(oracle, 3)
+    assert len(base.tangles) == 3
+    for root in base.tangles:
+        dtd = directed_decomposition(oracle, 3, root)
+        assert sorted(dtd.children[dtd.root]) == sorted(set(dtd.nodes()) - {dtd.root})
+
+
 def test_directed_rejects_non_maximal_root(triforce):
     with pytest.raises(DomainError):
         directed_decomposition(triforce.oracle, 2, 2)  # the order-1 tangle is extended
@@ -467,10 +489,13 @@ def test_prune_empty_hubs(triforce):
     assert len(pruned.nodes()) == 2
     assert pruned.separations() == td.separations()
     # the triforce star's degree-3 hub is kept
-    ttd = canonical_decomposition(triforce.oracle, 2)
-    assert len(prune_empty_hubs(ttd.td).nodes()) == 4
+    star = prune_empty_hubs(canonical_decomposition(triforce.oracle, 2).td)
+    assert len(star.nodes()) == 4
     # protected nodes are never touched
-    assert len(prune_empty_hubs(td, protected={1}).nodes()) == 3
+    protected = prune_empty_hubs(td, protected={1})
+    assert len(protected.nodes()) == 3
+    for out in (pruned, star, protected):
+        out.validate()
 
 
 def test_verify_refined_decomposition(triforce):
