@@ -1,6 +1,15 @@
 """Tangles of connectivity functions: enumeration, queries, decompositions."""
 
-from .bases import Base, base_for_set, enumerate_bases, free_subset, is_base, lattice_bottom, lattice_top
+from .bases import (
+    Base,
+    base_for_set,
+    enumerate_bases,
+    enumerate_lattices,
+    free_subset,
+    is_base,
+    lattice_bottom,
+    lattice_top,
+)
 from .connectivity import (
     AxiomReport,
     ConnectivityOracle,

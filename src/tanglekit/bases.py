@@ -13,6 +13,17 @@ members are therefore the leftmost and rightmost minimum (B1, B2)-
 separations, which the box minimizer returns with the minimum itself, so
 reading either is one cached ``box_min`` lookup.  Bases of bounded order are
 the search skeleton for every tangle algorithm in this library.
+
+L(B1, B2) is determined by its bottom and top: it is the set of members of
+the box [bottom, top] of kappa equal to the order.  Many bases share one
+lattice, and everything the tangle algorithms compute per base depends only
+on that lattice, so ``enumerate_lattices`` lists each distinct lattice once,
+as the base (bottom, complement(top)), in the order of the first base of
+``enumerate_bases`` that has it.  ``enumerate_bases`` minimizes each
+unordered pair {B1, B2} once: kappa is symmetric, so the box
+[B2, complement(B1)] holds the complements of the sets in
+[B1, complement(B2)], and its answer is the first box's with leftmost and
+rightmost complemented and swapped.
 """
 
 from __future__ import annotations
@@ -80,7 +91,8 @@ def enumerate_bases(oracle: ConnectivityOracle, k: int) -> List[Base]:
     """All bases of order at most k, in lexicographic (b1, b2) order.
 
     Side sizes are bounded by the order, so candidates are pairs of masks of
-    size at most k.  Results are cached per oracle.
+    size at most k.  Each unordered pair is minimized once and the swapped
+    box's answer is cached beside it.  Results are cached per oracle.
     """
     if k < 0:
         return []
@@ -88,21 +100,46 @@ def enumerate_bases(oracle: ConnectivityOracle, k: int) -> List[Base]:
     hit = cache.get(k)
     if hit is not None:
         return hit
-    n = oracle.ground.n
+    full = oracle.ground.full_mask
+    boxes = oracle.cache("box_min")
     out = []
-    candidates = _masks_up_to(n, k)
-    for b1 in candidates:
+    candidates = _masks_up_to(oracle.ground.n, k)
+    for i, b1 in enumerate(candidates):
         s1 = b1.bit_count()
-        for b2 in candidates:
+        for b2 in candidates[i:]:
             if b1 & b2:
                 continue
-            value = kappa_min(oracle, b1, b2).value
+            value, left, right = box_min(oracle, b1, full & ~b2)
+            boxes.setdefault((b2, full & ~b1), (value, full & ~right, full & ~left))
             if value > k or value < max(s1, b2.bit_count()):
                 continue
             out.append(Base(b1, b2, value))
+            if b1 != b2:
+                out.append(Base(b2, b1, value))
     out.sort(key=lambda b: (b.b1, b.b2))
     cache[k] = out
     return out
+
+
+def enumerate_lattices(oracle: ConnectivityOracle, k: int) -> List[Base]:
+    """One base (bottom, complement(top)) per distinct lattice of the bases
+    of order at most k, in the order of the first base that has it.
+
+    Such a base's lattice equals the lattices it stands for, but its sides
+    need not be free, so it may fail the size test of ``is_base``,
+    ``lattice_bottom`` and ``lattice_top``: read its bottom as b1 and its
+    top as the complement of b2.  Results are cached per oracle.
+    """
+    cache = oracle.cache("lattices")
+    hit = cache.get(k)
+    if hit is not None:
+        return hit
+    full = oracle.ground.full_mask
+    seen = {}
+    for base in enumerate_bases(oracle, k):
+        _, bottom, top = box_min(oracle, base.b1, full & ~base.b2)
+        seen.setdefault((bottom, top), Base(bottom, full & ~top, base.order))
+    return cache.setdefault(k, list(seen.values()))
 
 
 def _check_base(oracle: ConnectivityOracle, base: Base) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional, Tuple
 
-from .bases import enumerate_bases
+from .bases import enumerate_bases, enumerate_lattices
 from .connectivity import ConnectivityOracle, bits_list
 from .errors import DomainError, IntegrityError
 from .tangles import (
@@ -45,18 +45,19 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     if not has_tangle_of_order(oracle, order):
         return _Level(order, None, [])
     full = oracle.ground.full_mask
-    bases = enumerate_bases(oracle, order - 1)
+    lattices = enumerate_lattices(oracle, order - 1)
     paths: List[Tuple[int, ...]] = []
 
     def splitter(path: Tuple[int, ...]) -> Optional[int]:
         # A separator lies in some tangle at this leaf and is avoided by
         # another; candidates are minimal union members per base lattice.
+        # The first hit is taken, so the lattices' order fixes the tree.
         ctx = _context(oracle, order, {full & ~p for p in path})
 
         def union_member(x: int) -> bool:
             return ctx.exists((full & ~x,))
 
-        for base in bases:
+        for base in lattices:
             xstar = minimal_member_in_lattice(oracle, union_member, base)
             if xstar is None:
                 continue

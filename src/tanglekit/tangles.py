@@ -12,10 +12,11 @@ single avoidance query: X is a member iff some tangle of the order contains
 signature + {X}, i.e. avoids the complements of all of these.
 
 The avoidance decision itself follows the dual decomposition search: it
-maintains, for every base B of bounded order, a growing decomposable member
-mu(B) of the lattice L(B), and declares that a tangle exists exactly when no
-two mu values cover the ground set.  One rule grows mu: the rightmost
-member of L(B) inside a window joins mu(B).  The windows are each singleton
+maintains, for every lattice L(B) of a base B of bounded order, a growing
+decomposable member mu of L(B), and declares that a tangle exists exactly
+when no two mu values cover the ground set.  Bases sharing a lattice share
+their mu, so there is one mu per lattice.  One rule grows mu: the rightmost
+member of L(B) inside a window joins mu.  The windows are each singleton
 (no singleton is a member), each avoided set, and every union of two mu
 values.
 """
@@ -23,11 +24,10 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import attrgetter
+from itertools import combinations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .bases import Base, enumerate_bases
+from .bases import Base, enumerate_lattices
 from .connectivity import ConnectivityOracle, bits_list, iter_bits
 from .errors import DomainError, OutOfOrderError, SizeGuardError, StructuralError
 from .separations import FREE_LIMIT, box_min
@@ -87,31 +87,31 @@ class AvoidContext:
     fixpoint, which is sound because adding avoid sets only ever grows the
     mu values.
 
-    mu(B) grows by one rule: from a window W, it takes in the rightmost
-    minimizer of the box [b1, W & ~b2] when that has B's order.  The windows
-    are each singleton (the no-singleton axiom) and each avoided set, applied
-    once in the first round, and then every union of two mu values; a tangle
-    exists iff no such union is the ground set.  The update depends only on
-    B and W and mu only grows, so a result once in mu(B) stays there and the
-    least fixpoint does not depend on the order windows are applied in.  The
-    closure is therefore evaluated semi-naively: each window is checked
-    against the bases once and kept in ``seen``, from which extra queries
-    also start.  Bases are sorted by b1, and a window skips every run of
-    bases whose b1 it does not contain.
+    There is one mu per lattice of the bases of order below ``order``:
+    ``lattices`` holds each as the base (bottom, complement(top)) from
+    ``enumerate_lattices``, and ``mu[i]`` belongs to ``lattices[i]``.  mu
+    grows by one rule: from a window W, it takes in the rightmost minimizer
+    of the box [bottom, W & top] when that has the lattice's order, which is
+    the greatest member of the lattice inside W.  The windows are each
+    singleton (the no-singleton axiom) and each avoided set, applied once in
+    the first round, and then every union of two mu values; a tangle exists
+    iff no such union is the ground set.  The update depends only on the
+    lattice and W and mu only grows, so a result once in mu stays there and
+    the least fixpoint does not depend on the order windows are applied in.
+    The closure is therefore evaluated semi-naively: each window is checked
+    against the lattices once and kept in ``seen``, from which extra queries
+    also start.  A window that does not contain a lattice's bottom holds
+    none of its members (the lattice is closed under intersection), and one
+    inside mu adds nothing; neither reads a box.
     """
 
     def __init__(self, oracle: ConnectivityOracle, order: int, avoids: Iterable[int] = ()):
         self.oracle = oracle
         self.order = order
         self.full = oracle.ground.full_mask
-        self.bases: List[Base] = enumerate_bases(oracle, order - 1)
-        # (b1, start, end): bases[start:end] are the bases with this b1.
-        self._runs, end = [], 0
-        for b1, group in groupby(self.bases, key=attrgetter("b1")):
-            start, end = end, end + sum(1 for _ in group)
-            self._runs.append((b1, start, end))
+        self.lattices: List[Base] = enumerate_lattices(oracle, order - 1)
         singletons = [1 << u for u in range(oracle.ground.n)]
-        self.mu = [0] * len(self.bases)
+        self.mu = [0] * len(self.lattices)
         self.seen: set = set()
         self._answer = not self._run(self.mu, self.seen, [*singletons, *avoids])
         self._extra_cache: dict = {}
@@ -119,7 +119,7 @@ class AvoidContext:
     def _run(self, mu, seen: set, windows: Iterable[int]) -> bool:
         """Close mu under the update rule, starting with ``windows`` as the
         first round's; True iff two mu values cover the ground set."""
-        oracle, bases = self.oracle, self.bases
+        oracle, lattices = self.oracle, self.lattices
         windows = set(windows)
         while True:
             values = sorted({v for v in mu if v})
@@ -131,15 +131,12 @@ class AvoidContext:
                 return False
             seen |= windows
             for w in sorted(windows):
-                for b1, start, end in self._runs:
-                    if b1 & ~w:
+                for i, base in enumerate(lattices):
+                    if base.b1 & ~w or not w & ~mu[i]:
                         continue
-                    for i in range(start, end):
-                        if w & ~mu[i]:
-                            base = bases[i]
-                            r = box_min(oracle, b1, w & ~base.b2)
-                            if r[0] == base.order:
-                                mu[i] |= r[2]
+                    r = box_min(oracle, base.b1, w & ~base.b2)
+                    if r[0] == base.order:
+                        mu[i] |= r[2]
             windows = set()
 
     def exists(self, extras: Iterable[int] = ()) -> bool:
@@ -330,7 +327,7 @@ def _least_member_of_order(
     none.  The least must lie inside every other candidate."""
     oracle = tangle.oracle
     candidates = []
-    for base in enumerate_bases(oracle, q):
+    for base in enumerate_lattices(oracle, q):
         if base.order != q:
             continue
         m = minimal_member_in_lattice(oracle, tangle.member, base, within=within)
@@ -350,8 +347,8 @@ def leftmost_tangle_separation(
 ) -> Optional[int]:
     """The leftmost minimum (t1, t2)-separation, or None if comparable.
 
-    Scans base orders upward; for each base, the least member of t1 inside
-    the base's lattice is a candidate whenever its complement lies in t2.
+    Scans base orders upward; for each distinct base lattice, the least
+    member of t1 inside it is a candidate whenever its complement lies in t2.
     The true leftmost separation is the least candidate at the first order
     where any appear.
     """

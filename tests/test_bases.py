@@ -1,19 +1,27 @@
 """Free sets, bases, and base lattices."""
 
+from itertools import combinations
+
 import pytest
 
+from conftest import chain_k4_vertex_cut, grid3_graph, triforce_graph
 from tanglekit import (
     Base,
     DomainError,
+    Graph,
     base_for_set,
+    cut_rank_fn,
+    edge_boundary_fn,
     enumerate_bases,
+    enumerate_lattices,
     free_subset,
     is_base,
     kappa_min,
     lattice_bottom,
     lattice_top,
 )
-from tanglekit.oracles import brute_force_lattice
+from tanglekit.oracles import brute_force_lattice, random_instances
+from tanglekit.separations import _exhaustive_box_min
 
 
 def test_free_subset_triforce(triforce):
@@ -61,23 +69,45 @@ def test_enumerate_bases_p3(p3):
     assert Base(0b10, 0b01, 1) in bases
 
 
-def test_enumerate_bases_matches_filter(triforce):
-    oracle = triforce.oracle
-    k = 1
-    got = enumerate_bases(oracle, k)
-    expected = []
-    masks = [0] + [1 << i for i in range(oracle.ground.n)]
-    for b1 in masks:
-        for b2 in masks:
+def _fresh_instances():
+    """(fresh oracle, highest order to enumerate): the fixtures' instances,
+    a two-K4 chain and seeded random instances, with empty caches."""
+    out = [
+        (edge_boundary_fn(Graph.from_edges(3, [(0, 1), (1, 2)])), 2),
+        (edge_boundary_fn(Graph.from_edges(4, list(combinations(range(4), 2)))), 6),
+        (cut_rank_fn(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])), 5),
+        (edge_boundary_fn(triforce_graph()), 4),
+        (edge_boundary_fn(grid3_graph()), 3),
+        (chain_k4_vertex_cut(2), 3),
+    ]
+    out += [(o, o.ground.n) for seed in (0, 1, 2) for _, o in random_instances(seed, 6)]
+    return out
+
+
+def _double_loop_bases(oracle, k):
+    """Bases by the definition: every ordered pair of disjoint candidate
+    sides minimized on its own, sorted by (b1, b2)."""
+    ids = range(oracle.ground.n)
+    candidates = [sum(1 << i for i in c) for size in range(k + 1) for c in combinations(ids, size)]
+    out = []
+    for b1 in candidates:
+        for b2 in candidates:
             if b1 & b2:
                 continue
             value = kappa_min(oracle, b1, b2).value
             if value <= k and value >= max(b1.bit_count(), b2.bit_count()):
-                expected.append(Base(b1, b2, value))
-    assert sorted(got, key=lambda b: (b.b1, b.b2)) == sorted(
-        expected, key=lambda b: (b.b1, b.b2)
-    )
-    assert len({(b.b1, b.b2) for b in got}) == len(got)
+                out.append(Base(b1, b2, value))
+    return sorted(out, key=lambda b: (b.b1, b.b2))
+
+
+def test_enumerate_bases_matches_filter():
+    """enumerate_bases, which minimizes each unordered pair once, equals the
+    definition's ordered double loop run on a second fresh oracle."""
+    for (oracle, top), (reference, _) in zip(_fresh_instances(), _fresh_instances()):
+        for k in range(top + 1):
+            got = enumerate_bases(oracle, k)
+            assert got == _double_loop_bases(reference, k), (oracle, k)
+            assert len({(b.b1, b.b2) for b in got}) == len(got)
 
 
 def test_base_for_set(triforce, k4):
@@ -125,3 +155,27 @@ def test_bases_size_bound(c5rank):
     for base in bases:
         assert base.b1.bit_count() <= base.order <= 2
         assert base.b2.bit_count() <= base.order
+
+
+def test_enumerate_lattices_dedupes_bases():
+    """One lattice per distinct (bottom, top) of the bases, in the order of
+    its first base, carrying that base's order."""
+    for oracle, top in _fresh_instances():
+        full = oracle.ground.full_mask
+        for k in range(top + 1):
+            expected = {}
+            for base in enumerate_bases(oracle, k):
+                key = (lattice_bottom(oracle, base), lattice_top(oracle, base))
+                expected.setdefault(key, base.order)
+            got = [(b.b1, full & ~b.b2, b.order) for b in enumerate_lattices(oracle, k)]
+            assert got == [(bottom, top, order) for (bottom, top), order in expected.items()]
+
+
+def test_enumerated_boxes_match_minimizer():
+    """Every box answer enumeration caches, including the swapped boxes it
+    fills without a minimizer call, is what the minimizer returns."""
+    for (oracle, top), (reference, _) in zip(_fresh_instances(), _fresh_instances()):
+        enumerate_bases(oracle, top)
+        minimizer = reference.minimizer or _exhaustive_box_min
+        for (lo, hi), answer in oracle.caches["box_min"].items():
+            assert answer == minimizer(reference, lo, hi), (oracle, lo, hi)

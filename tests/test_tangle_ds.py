@@ -1,11 +1,12 @@
 """The comprehensive tangle structure: census, queries, round trips."""
 
 import json
+import pathlib
 import threading
 
 import pytest
 
-from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut
+from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph
 from tanglekit import (
     DomainError,
     Graph,
@@ -17,6 +18,8 @@ from tanglekit import (
 from tanglekit.oracles import brute_force_leftmost_tangle_separation, brute_force_tangles
 from tanglekit.tangle_ds import TangleDataStructure
 from tanglekit.tangles import ExplicitTangle, max_tangle_order
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_triforce_census(triforce):
@@ -253,3 +256,26 @@ def test_negative_orders_are_rejected(triforce):
     with pytest.raises(DomainError):
         ds.truncation(3, -1)
     assert ds.count(2) == 3 and ds.indices_of_order(2) == [3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        pytest.param("grid3", lambda: edge_boundary_fn(grid3_graph()), id="grid3"),
+        pytest.param("chain4k4", lambda: chain_k4_vertex_cut(4), id="chain4k4"),
+    ],
+)
+def test_structure_document_golden(name, make):
+    """The order-3 structures of the 3x3 grid (edge boundary) and the
+    four-K4 chain (vertex cut) in their base labeling, byte for byte: the
+    separators, their order and the leaf numbering are pinned."""
+    doc = build_structure(make(), 3).to_json()
+    assert json.dumps(doc, indent=2) + "\n" == (GOLDEN / f"{name}_structure_order3.json").read_text()
+
+
+def test_grid3_build_box_count():
+    """Building the 3x3 grid's structure to order 3 reads 5,587 distinct
+    boxes; reading every base instead of every lattice reads 10,889."""
+    oracle = edge_boundary_fn(grid3_graph())
+    build_structure(oracle, 3)
+    assert len(oracle.caches["box_min"]) <= 5587

@@ -19,6 +19,8 @@ from tanglekit import (
     empty_tangle,
     exists_tangle_avoiding,
     has_tangle_of_order,
+    lattice_bottom,
+    lattice_top,
     leftmost_tangle_separation,
     leftmost_tangle_set_separation,
     max_tangle_order,
@@ -375,16 +377,18 @@ def test_signature_sets_are_members(triforce, k4):
                 assert tangle.member(s)
 
 
-def _round_robin_fixpoint(ctx, avoids):
-    """Reference closure: every base against every window, round after round,
-    until no update changes mu or two mu values cover the ground set.
+def _round_robin_fixpoint(oracle, order, avoids):
+    """Reference closure over the bases themselves, one mu per base: every
+    base against every window, round after round, until no update changes
+    mu or two mu values cover the ground set.
     Seeds mu(B) with each singleton {u} of order ord(B) that is B's b1 or,
     when b1 is empty, lies outside b2 (no singleton is a member), and with
     the greatest lattice member inside each avoided set.
-    Returns (tangle exists, mu)."""
-    oracle = ctx.oracle
-    mu = [0] * len(ctx.bases)
-    for i, base in enumerate(ctx.bases):
+    Returns (tangle exists, bases, mu)."""
+    bases = enumerate_bases(oracle, order - 1)
+    full = oracle.ground.full_mask
+    mu = [0] * len(bases)
+    for i, base in enumerate(bases):
         for u in range(oracle.ground.n):
             bit = 1 << u
             if oracle.evaluate(bit) == base.order and not bit & base.b2 and base.b1 in (0, bit):
@@ -396,17 +400,17 @@ def _round_robin_fixpoint(ctx, avoids):
     while True:
         values = {v for v in mu if v}
         windows = {a | b for a in values for b in values}
-        if ctx.full in windows:
-            return False, mu
+        if full in windows:
+            return False, bases, mu
         changed = False
-        for i, base in enumerate(ctx.bases):
+        for i, base in enumerate(bases):
             for w in windows:
-                r = box_min(ctx.oracle, base.b1, w & ~base.b2)
+                r = box_min(oracle, base.b1, w & ~base.b2)
                 if r is not None and r[0] == base.order and r[2] & ~mu[i]:
                     mu[i] |= r[2]
                     changed = True
         if not changed:
-            return True, mu
+            return True, bases, mu
 
 
 def _low_order_sets(oracle, order):
@@ -417,6 +421,7 @@ def test_fixpoint_matches_round_robin(triforce, k4, p3, c5rank, grid3):
     oracles = [triforce.oracle, k4, p3, c5rank, grid3]
     oracles += [o for seed in (5, 6) for _, o in random_instances(seed, 10)]
     for oracle in oracles:
+        full = oracle.ground.full_mask
         for order in (1, 2, 3):
             low = _low_order_sets(oracle, order)
             singles = [(x,) for x in low[1 :: max(1, len(low) // 6)]]
@@ -424,10 +429,14 @@ def test_fixpoint_matches_round_robin(triforce, k4, p3, c5rank, grid3):
             families = [()] + singles + pairs
             for avoids in families:
                 ctx = AvoidContext(oracle, order, avoids)
-                answer, mu = _round_robin_fixpoint(ctx, avoids)
+                answer, bases, mu = _round_robin_fixpoint(oracle, order, avoids)
                 assert ctx.exists() == answer
                 if answer:
-                    assert ctx.mu == mu
+                    # one mu per lattice: each base's mu is its lattice's
+                    index = {(b.b1, full & ~b.b2): i for i, b in enumerate(ctx.lattices)}
+                    for base, value in zip(bases, mu):
+                        key = (lattice_bottom(oracle, base), lattice_top(oracle, base))
+                        assert ctx.mu[index[key]] == value
 
 
 def test_warm_exists_matches_cold_context(triforce, k4):
