@@ -6,8 +6,11 @@ Instance files are plain text (see FORMATS.md):
     matrix <rows> <cols> followed by one 0/1 row per line
 
 The connectivity function is chosen with --fn; matroid instances require a
-matrix file.  Exit codes: 0 success, 2 verification failure, 3 parse error,
-4 size guard refusal.
+matrix file.  Exit codes: 0 success, 2 verification failure, 3 parse error
+or invalid argument (such as a non-maximal --root-index), 4 size guard
+refusal.  --max-exhaustive (default from TANGLEKIT_MAX_EXHAUSTIVE) bounds only
+the brute-force references of branchwidth --brute (default 7) and selfcheck
+(default 12), not the exhaustive box scan's guard.
 """
 
 from __future__ import annotations

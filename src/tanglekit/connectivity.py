@@ -14,11 +14,11 @@ The built-in instances are the vertex cut function of a graph, the edge
 boundary function of a graph, the GF(2) cut rank of a graph, and the
 connectivity function of a binary matroid.  The vertex-cut and edge-boundary
 oracles carry a max-flow box minimizer (see ``flow``), so their constrained
-minima above ``flow.SMALL_BOX`` free positions need no kappa evaluations and
-are not bound by the exhaustive scan's 22-bit guard; the other two use the
-scan.  Once an oracle's memo holds every subset, ``levels()`` groups the
-subsets by kappa value, and the scan walks those groups upward instead of
-the box's subsets.
+minima need no kappa evaluations and are not bound by the exhaustive scan's
+22-bit guard; the scan serves only oracles without a minimizer: the other
+two, custom kappa and contractions.  Once an oracle's memo holds every
+subset, ``levels()`` groups the subsets by kappa value, and the scan walks
+those groups upward instead of the box's subsets.
 """
 
 from __future__ import annotations

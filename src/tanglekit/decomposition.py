@@ -613,36 +613,30 @@ def canonical_decomposition(oracle: ConnectivityOracle, order: int) -> TangleTre
     return TangleTreeDecomposition(td, tau, maximal, ds)
 
 
-def _is_singleton_star(td: TreeDecomposition) -> bool:
-    nodes = td.nodes()
-    if len(nodes) == 1:
-        return True
-    for center in nodes:
-        if len(td.adj[center]) == len(nodes) - 1 and all(
-            td.bags[t].bit_count() == 1 for t in nodes if t != center
-        ):
-            return True
-    return False
-
-
 def refine_single_tangle(oracle: ConnectivityOracle, order: int) -> TreeDecomposition:
     """A canonical decomposition whose every contraction has exactly one
     maximal tangle of order <= order.
 
     Recurses into any node whose contraction still has several maximal
-    tangles and merges the refined separations; recursion shrinks the ground
-    set whenever it happens (checked at runtime).
+    tangles and merges the refined separations.  On a canonical tree with
+    two or more nodes every leaf is a tangle node and the side toward a
+    tangle node is one of its members (conditions ``verify_tree_decomposition``
+    checks), so no leaf bag is empty or a singleton and every contraction
+    shrinks the ground set.  The runtime check below therefore fails only
+    when kappa is not a connectivity function, and it is what stops the
+    recursion then.
     """
-    base = canonical_decomposition(oracle, order)
-    td = base.td
-    if _is_singleton_star(td):
+    td = canonical_decomposition(oracle, order).td
+    if len(td.nodes()) == 1:
         return td
     n = oracle.ground.n
     family = set(td.separations())
     for t in td.nodes():
         con = contract_at(oracle, td, t)
         if con.oracle.ground.n >= n:
-            raise IntegrityError("contraction did not shrink the ground set; cannot refine")
+            raise IntegrityError(
+                "contraction did not shrink the ground set; kappa is not a connectivity function"
+            )
         sub_ds = build_structure(con.oracle, order)
         if len(maximal_indices(sub_ds, order)) <= 1:
             continue

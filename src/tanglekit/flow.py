@@ -18,18 +18,14 @@ capacity 1, so each augmenting path carries one unit and the value is the
 number of augmentations.
 
 A FlowNetwork is the ``oracle.minimizer`` of the oracles built by
-``connectivity.vertex_cut_fn`` and ``connectivity.edge_boundary_fn``.  Boxes
-with at most SMALL_BOX free positions go to the exhaustive scan instead,
-where 2^free memo lookups cost less than setting up a flow; larger boxes
-never evaluate kappa, so the scan's FREE_LIMIT does not bind them.
+``connectivity.vertex_cut_fn`` and ``connectivity.edge_boundary_fn``.  It
+answers every box with one max flow and never evaluates kappa, so the
+exhaustive scan's FREE_LIMIT does not bind these oracles.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
-
-# Boxes with at most this many free positions are scanned, not flowed.
-SMALL_BOX = 7
 
 # Capacity of the edge-boundary incidence arcs: more than any cut can cost.
 UNBOUNDED = 1 << 30
@@ -61,11 +57,6 @@ class FlowNetwork:
 
     def __call__(self, oracle, lo: int, hi: int):
         """The ``oracle.minimizer`` hook: (value, leftmost, rightmost)."""
-        if (hi & ~lo).bit_count() <= SMALL_BOX:
-            # Imported here: separations imports connectivity, which imports us.
-            from .separations import _exhaustive_box_min
-
-            return _exhaustive_box_min(oracle, lo, hi)
         return self.min_cut(lo, hi)
 
     def min_cut(self, lo: int, hi: int) -> Tuple[int, int, int]:

@@ -10,13 +10,13 @@ The minimizer is pluggable: an oracle may carry a ``minimizer`` attribute
 ``fn(oracle, lo, hi) -> (value, leftmost, rightmost)`` giving the minimum of
 kappa over the box [lo, hi] and its least and greatest minimizers.  The
 vertex-cut and edge-boundary oracles carry a max-flow minimizer
-(``flow.FlowNetwork``) that scans only boxes with at most ``flow.SMALL_BOX``
-free positions.  Every other oracle uses the default, one exhaustive scan of
-the free positions; FREE_LIMIT guards that scan and nothing else.  Once the
-oracle's memo is complete, the scan first walks ``oracle.levels()``, the
-subsets grouped by kappa value, upward until a group meets the box.  It
-reads at most as many sets as the box has, then falls back to walking the
-box's subsets.
+(``flow.FlowNetwork``) that answers every box without evaluating kappa.
+Every oracle without a minimizer (cut-rank, matroid, custom kappa,
+contractions) uses the default, one exhaustive scan of the free positions;
+FREE_LIMIT guards that scan and nothing else.  Once the oracle's memo is
+complete, the scan first walks ``oracle.levels()``, the subsets grouped by
+kappa value, upward until a group meets the box.  It reads at most as many
+sets as the box has, then falls back to walking the box's subsets.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from tanglekit import (
     width,
 )
 from tanglekit import decomposition
+from tanglekit.decomposition import verify_refined_decomposition
 from tanglekit.oracles import brute_force_branch_decomposition
 
 from conftest import chain_k4_vertex_cut, random_nonexact_decomposition, random_partial_decomposition
@@ -405,18 +406,44 @@ def test_directed_single_tangle(k4):
     assert verify_tangle_decomposition(dtd).ok
 
 
-def test_directed_verifies_for_every_maximal_root():
-    petals = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8)]
-    flower = Graph.from_edges(9, [e for a, b, c in petals for e in ((a, b), (a, c), (b, c))])
+def _triangles(n, triangles):
+    return Graph.from_edges(n, [e for a, b, c in triangles for e in ((a, b), (a, c), (b, c))])
+
+
+def _splitting_cases():
+    """Instances whose canonical decomposition has two or more maximal
+    tangles: a three-K4 chain at orders 2 and 3, four triangles on a common
+    vertex, and two 5-cycles joined by an edge under cut-rank."""
+    flower = _triangles(9, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8)])
     cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     c5c5 = Graph.from_edges(10, cycles + [(0, 5)])
-    cases = [
+    return [
         (chain_k4_vertex_cut(3), 2),
         (chain_k4_vertex_cut(3), 3),
         (edge_boundary_fn(flower), 2),
         (cut_rank_fn(c5c5), 2),
     ]
-    for oracle, order in cases:
+
+
+def test_refine_keeps_the_canonical_tree():
+    """Every contraction of the canonical tree already has one maximal
+    tangle, so the refinement returns the canonical tree unchanged.  The
+    recursion in ``refine_single_tangle`` stays, because this is unproven."""
+    strip = _triangles(9, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)])
+    for oracle, order in [*_splitting_cases(), (edge_boundary_fn(strip), 2)]:
+        canonical = canonical_decomposition(oracle, order).td
+        refined = refine_single_tangle(oracle, order)
+        note = (
+            f"{oracle!r} at order {order}: a contraction of the canonical tree "
+            "has several maximal tangles; this instance is the counterexample "
+            "ROADMAP item 12 (settle --refined) asks for"
+        )
+        assert refined.separations() == canonical.separations(), note
+        assert verify_refined_decomposition(oracle, canonical, order).ok, note
+
+
+def test_directed_verifies_for_every_maximal_root():
+    for oracle, order in _splitting_cases():
         base = canonical_decomposition(oracle, order)
         assert list(base.tangles) == maximal_indices(base.ds, order)
         assert len(base.tangles) >= 2
@@ -499,7 +526,7 @@ def test_prune_empty_hubs(triforce):
 
 
 def test_verify_refined_decomposition(triforce):
-    from tanglekit.decomposition import TreeDecomposition, verify_refined_decomposition
+    from tanglekit.decomposition import TreeDecomposition
 
     oracle = triforce.oracle
     assert verify_refined_decomposition(oracle, refine_single_tangle(oracle, 2), 2).ok

@@ -207,7 +207,7 @@ def _every_box(full):
 
 
 def _assert_flow_agrees(oracle, boxes):
-    """The max flow alone, without the small-box scan, against the scan."""
+    """The max flow against the exhaustive scan."""
     network = oracle.minimizer
     for lo, hi in boxes:
         assert network.min_cut(lo, hi) == _exhaustive_box_min(oracle, lo, hi), (lo, hi)
@@ -220,10 +220,16 @@ def test_flow_agrees_on_every_box():
         Graph.from_edges(4, k4),
         Graph.from_edges(3, [(0, 1), (1, 2)]),
     ]
-    oracles = [fn(g) for g in graphs for fn in (vertex_cut_fn, edge_boundary_fn)]
-    oracles.append(chain_k4_vertex_cut(3))
-    for oracle in oracles:
-        _assert_flow_agrees(oracle, _every_box(oracle.ground.full_mask))
+    makers = [lambda g=g, fn=fn: fn(g) for g in graphs for fn in (vertex_cut_fn, edge_boundary_fn)]
+    makers.append(lambda: chain_k4_vertex_cut(3))
+    for make in makers:
+        oracle, fresh = make(), make()
+        for lo, hi in _every_box(oracle.ground.full_mask):
+            flow = oracle.minimizer.min_cut(lo, hi)
+            assert flow == _exhaustive_box_min(oracle, lo, hi), (lo, hi)
+            assert box_min(fresh, lo, hi) == flow, (lo, hi)
+        # The fresh oracle answered every box, small ones too, by the flow alone.
+        assert fresh.calls == 0, fresh
 
 
 def test_flow_agrees_on_random_graphs():
