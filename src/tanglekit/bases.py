@@ -19,11 +19,32 @@ the box [bottom, top] of kappa equal to the order.  Many bases share one
 lattice, and everything the tangle algorithms compute per base depends only
 on that lattice, so ``enumerate_lattices`` lists each distinct lattice once,
 as the base (bottom, complement(top)), in the order of the first base of
-``enumerate_bases`` that has it.  ``enumerate_bases`` minimizes each
+``enumerate_bases`` that has it.  ``enumerate_bases`` settles each
 unordered pair {B1, B2} once: kappa is symmetric, so the box
 [B2, complement(B1)] holds the complements of the sets in
 [B1, complement(B2)], and its answer is the first box's with leftmost and
 rightmost complemented and swapped.
+
+Before minimizing a pair, ``enumerate_bases`` reads the answers (v, L, R) of
+its parents, the pairs with one element u fewer on one side; candidates come
+in order of size, so every parent has already been settled or skipped.  The pair's box is the
+parent's box cut down to the sets that hold u (u grows B1) or miss u (u
+grows B2).  L and R are the least and greatest minimizers of the parent's
+box (Picard-Queyranne), so every minimizer Z has L <= Z <= R, and:
+
+* copy: u in L grows B1, or u outside R grows B2.  Every minimizer lies in
+  the smaller box, so its answer is the parent's (v, L, R);
+* same value: u in R - L, on either side.  R (for B1) or L (for B2) lies
+  in the smaller box, so its minimum is still v, but its extremes may move;
+* raise: u outside R grows B1, or u in L grows B2.  No minimizer lies in
+  the smaller box, so its minimum is at least v + 1.  A smaller box never
+  has a smaller minimum, so this bound also holds for every descendant.
+
+A pair is minimized only if it can still be a base: no parent shows that its
+minimum exceeds k, and its value, if a parent gives it, lies in
+[max(|B1|, |B2|), k].  Skipped pairs never enter
+the ``box_min`` cache; the pairs known to exceed k are remembered for the
+rest of the call, so that their descendants are skipped too.
 """
 
 from __future__ import annotations
@@ -91,8 +112,13 @@ def enumerate_bases(oracle: ConnectivityOracle, k: int) -> List[Base]:
     """All bases of order at most k, in lexicographic (b1, b2) order.
 
     Side sizes are bounded by the order, so candidates are pairs of masks of
-    size at most k.  Each unordered pair is minimized once and the swapped
-    box's answer is cached beside it.  Results are cached per oracle.
+    size at most k.  Each unordered pair is settled once and the swapped
+    box's answer is cached beside it.  A pair copies a parent's answer when
+    every minimizer of the parent's box lies in its own.  It is skipped
+    without a minimizer call when its parents show that it is no base: its
+    minimum exceeds k, or equals a value below the size of a side.  The
+    module docstring gives the three rules and why they hold.  Skipped
+    pairs are not cached.  Results are cached per oracle.
     """
     if k < 0:
         return []
@@ -102,6 +128,7 @@ def enumerate_bases(oracle: ConnectivityOracle, k: int) -> List[Base]:
         return hit
     full = oracle.ground.full_mask
     boxes = oracle.cache("box_min")
+    above = set()  # skipped pairs (lesser side, greater side) with a minimum above k
     out = []
     candidates = _masks_up_to(oracle.ground.n, k)
     for i, b1 in enumerate(candidates):
@@ -109,16 +136,48 @@ def enumerate_bases(oracle: ConnectivityOracle, k: int) -> List[Base]:
         for b2 in candidates[i:]:
             if b1 & b2:
                 continue
-            value, left, right = box_min(oracle, b1, full & ~b2)
+            hi = full & ~b2
+            size = max(s1, b2.bit_count())
+            answer = value = None
+            low = 0  # a lower bound on the pair's minimum
+            for u in iter_bits(b1 | b2):
+                bit = 1 << u
+                grows_b1 = b1 & bit
+                parent = (b1 ^ bit, hi) if grows_b1 else (b1, hi | bit)
+                known = boxes.get(parent)
+                if known is None:
+                    p1, p2 = (b1 ^ bit, b2) if grows_b1 else (b1, b2 ^ bit)
+                    if (min(p1, p2), max(p1, p2)) in above:
+                        low = k + 1
+                    continue
+                v, left, right = known
+                # The parent's minimizers inside this box are those that hold
+                # u when u grows b1, and those that miss u when it grows b2.
+                if bit & left if grows_b1 else not bit & right:
+                    answer = known  # all of them: copy
+                    break
+                if not bit & right if grows_b1 else bit & left:
+                    low = max(low, v + 1)  # none of them: raise
+                else:
+                    low, value = max(low, v), v  # some of them: same value
+            if answer is None:
+                if low > k:
+                    above.add((min(b1, b2), max(b1, b2)))
+                    continue
+                if value is not None and value < size:
+                    continue
+                answer = box_min(oracle, b1, hi)
+            else:
+                boxes.setdefault((b1, hi), answer)
+            value, left, right = answer
             boxes.setdefault((b2, full & ~b1), (value, full & ~right, full & ~left))
-            if value > k or value < max(s1, b2.bit_count()):
+            if not size <= value <= k:
                 continue
             out.append(Base(b1, b2, value))
             if b1 != b2:
                 out.append(Base(b2, b1, value))
     out.sort(key=lambda b: (b.b1, b.b2))
-    cache[k] = out
-    return out
+    return cache.setdefault(k, out)
 
 
 def enumerate_lattices(oracle: ConnectivityOracle, k: int) -> List[Base]:

@@ -9,7 +9,7 @@ C5RANK:   five-cycle under GF(2) cut rank, |U| = 5.
 
 import pytest
 
-from tanglekit import Graph, cut_rank_fn, edge_boundary_fn, vertex_cut_fn
+from tanglekit import Graph, cut_rank_fn, edge_boundary_fn, matroid_connectivity_fn, vertex_cut_fn
 from tanglekit.decomposition import branch_decomposition_from_leaf_sets
 from tanglekit.oracles import _cubic_trees
 
@@ -41,6 +41,22 @@ def chain_k4_vertex_cut(blocks):
         if b + 1 < blocks:
             edges.append((4 * b + 3, 4 * b + 4))
     return vertex_cut_fn(Graph.from_edges(4 * blocks, edges))
+
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def k4_cycle_matroid(copies):
+    """The direct sum of ``copies`` cycle matroids M(K4), from the
+    vertex-edge incidence rows of disjoint K4s over GF(2)."""
+    rows = []
+    for c in range(copies):
+        block = [0] * 4
+        for j, (u, v) in enumerate(K4_EDGES):
+            block[u] |= 1 << (6 * c + j)
+            block[v] |= 1 << (6 * c + j)
+        rows += block
+    return matroid_connectivity_fn(rows, 6 * copies)
 
 
 def edge_mask(graph, pairs):

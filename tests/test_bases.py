@@ -1,10 +1,12 @@
 """Free sets, bases, and base lattices."""
 
+import sys
+import threading
 from itertools import combinations
 
 import pytest
 
-from conftest import chain_k4_vertex_cut, grid3_graph, triforce_graph
+from conftest import chain_k4_vertex_cut, grid3_graph, k4_cycle_matroid, triforce_graph
 from tanglekit import (
     Base,
     DomainError,
@@ -71,7 +73,10 @@ def test_enumerate_bases_p3(p3):
 
 def _fresh_instances():
     """(fresh oracle, highest order to enumerate): the fixtures' instances,
-    a two-K4 chain and seeded random instances, with empty caches."""
+    two- and four-K4 chains, M(K4) (+) M(K4) and seeded random instances,
+    with empty caches.  On the four-K4 chain and the matroid most pairs are
+    copied from a parent, bounded above k or skipped without a minimizer
+    call."""
     out = [
         (edge_boundary_fn(Graph.from_edges(3, [(0, 1), (1, 2)])), 2),
         (edge_boundary_fn(Graph.from_edges(4, list(combinations(range(4), 2)))), 6),
@@ -79,6 +84,8 @@ def _fresh_instances():
         (edge_boundary_fn(triforce_graph()), 4),
         (edge_boundary_fn(grid3_graph()), 3),
         (chain_k4_vertex_cut(2), 3),
+        (chain_k4_vertex_cut(4), 2),
+        (k4_cycle_matroid(2), 2),
     ]
     out += [(o, o.ground.n) for seed in (0, 1, 2) for _, o in random_instances(seed, 6)]
     return out
@@ -179,3 +186,46 @@ def test_enumerated_boxes_match_minimizer():
         minimizer = reference.minimizer or _exhaustive_box_min
         for (lo, hi), answer in oracle.caches["box_min"].items():
             assert answer == minimizer(reference, lo, hi), (oracle, lo, hi)
+
+
+def test_enumeration_minimizer_calls():
+    """A pair whose box a parent pair already settles, or whose minimum a
+    parent bounds above k, gets no minimizer call: 967 calls on the 3x3 grid
+    and 753 on the four-K4 chain for order 2, where minimizing every
+    unordered pair takes 2,290 and 7,397."""
+    for oracle, most in ((edge_boundary_fn(grid3_graph()), 967), (chain_k4_vertex_cut(4), 753)):
+        minimizer, calls = oracle.minimizer, []
+
+        def counted(*args, minimizer=minimizer, calls=calls):
+            calls.append(args)
+            return minimizer(*args)
+
+        oracle.minimizer = counted
+        enumerate_bases(oracle, 2)
+        assert len(calls) <= most, (oracle, len(calls))
+
+
+def test_concurrent_enumeration_is_shared():
+    """Threads racing to enumerate a fresh oracle's bases all get one list."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            oracle = edge_boundary_fn(triforce_graph())
+            barrier = threading.Barrier(4)
+            results = []
+
+            def enumerate_after_barrier():
+                barrier.wait()
+                results.append(enumerate_bases(oracle, 2))
+
+            threads = [threading.Thread(target=enumerate_after_barrier) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 4
+            assert all(r is results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)

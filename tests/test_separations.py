@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph
+from conftest import K4_EDGES, TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph, k4_cycle_matroid
 from tanglekit import (
     DomainError,
     Graph,
@@ -18,7 +18,6 @@ from tanglekit import (
     has_tangle_of_order,
     kappa_min,
     leftmost_min_separation,
-    matroid_connectivity_fn,
     rightmost_min_separation,
     vertex_cut_fn,
 )
@@ -298,22 +297,6 @@ def test_flow_beyond_scan_guard():
     assert has_tangle_of_order(oracle, 2)
 
 
-K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def _k4_cycle_matroid(copies):
-    """The direct sum of ``copies`` cycle matroids M(K4), from the
-    vertex-edge incidence rows of disjoint K4s over GF(2)."""
-    rows = []
-    for c in range(copies):
-        block = [0] * 4
-        for j, (u, v) in enumerate(K4_EDGES):
-            block[u] |= 1 << (6 * c + j)
-            block[v] |= 1 << (6 * c + j)
-        rows += block
-    return matroid_connectivity_fn(rows, 6 * copies)
-
-
 def _fill_memo(oracle):
     get = oracle.value_getter()
     for x in range(oracle.ground.full_mask + 1):
@@ -347,7 +330,7 @@ def test_kappa_groups_on_every_box():
         cut_rank_fn(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
         edge_boundary_fn(Graph.from_edges(4, K4_EDGES)),
         edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES)),
-        _k4_cycle_matroid(1),
+        k4_cycle_matroid(1),
     ]
     for oracle in oracles:
         boxes = list(_every_box(oracle.ground.full_mask))
@@ -356,13 +339,13 @@ def test_kappa_groups_on_every_box():
 
 
 def test_kappa_groups_on_random_boxes():
-    oracle = _k4_cycle_matroid(2)
+    oracle = k4_cycle_matroid(2)
     boxes = _random_boxes(random.Random(8), oracle.ground.n, 2000)
     assert _assert_groups_agree(oracle, boxes) > 500
 
 
 def test_levels_wait_for_a_complete_memo():
-    oracle = _k4_cycle_matroid(1)
+    oracle = k4_cycle_matroid(1)
     full = oracle.ground.full_mask
     assert oracle.levels() is None
     get = oracle.value_getter()
@@ -378,7 +361,7 @@ def test_levels_wait_for_a_complete_memo():
     assert sorted(x for _, sets in levels for x in sets) == list(range(full + 1))
     assert all(oracle.evaluate(x) == v for v, sets in levels for x in sets)
 
-    unmemoized = _k4_cycle_matroid(1)
+    unmemoized = k4_cycle_matroid(1)
     unmemoized._memo = None
     _fill_memo(unmemoized)
     assert unmemoized.levels() is None
@@ -392,7 +375,7 @@ def test_concurrent_levels_are_shared():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            oracle = _k4_cycle_matroid(1)
+            oracle = k4_cycle_matroid(1)
             _fill_memo(oracle)
             full = oracle.ground.full_mask
             barrier = threading.Barrier(4)

@@ -274,8 +274,18 @@ def test_structure_document_golden(name, make):
 
 
 def test_grid3_build_box_count():
-    """Building the 3x3 grid's structure to order 3 reads 5,587 distinct
-    boxes; reading every base instead of every lattice reads 10,889."""
+    """Building the 3x3 grid's structure to order 3 caches 2,953 distinct
+    boxes; minimizing every unordered pair of candidate base sides cached
+    5,587."""
     oracle = edge_boundary_fn(grid3_graph())
     build_structure(oracle, 3)
-    assert len(oracle.caches["box_min"]) <= 5587
+    assert len(oracle.caches["box_min"]) <= 2953
+
+
+def test_chain4_build_box_count():
+    """Building the four-K4 chain's structure to order 3 caches 6,887
+    distinct boxes; minimizing every unordered pair of candidate base sides
+    cached 14,895."""
+    oracle = chain_k4_vertex_cut(4)
+    build_structure(oracle, 3)
+    assert len(oracle.caches["box_min"]) <= 6887
