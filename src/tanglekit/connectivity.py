@@ -19,6 +19,11 @@ minima need no kappa evaluations and are not bound by the exhaustive scan's
 two, custom kappa and contractions.  Once an oracle's memo holds every
 subset, ``levels()`` groups the subsets by kappa value, and the scan walks
 those groups upward instead of the box's subsets.
+
+The cut-rank and matroid oracles do not fill that memo set by set: on the
+first scan read they tabulate kappa on all 2^n subsets in one GF(2) sweep
+(``gf2_rank_table``), and the flat table replaces the dict memo.  Custom
+kappa and contractions keep the lazy dict memo.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ MAX_GROUND = 64
 # Dict memo tables are kept for ground sets up to this size; above, every
 # evaluation goes to the wrapped function.
 MEMO_LIMIT = 24
+
+# Exhaustive box scans refuse more free positions than this (see
+# ``separations``); a dense kappa table is only filled within it.
+FREE_LIMIT = 22
 
 # verify_axioms: exhaustive up to this size, sampled up to SAMPLE_LIMIT.
 EXHAUSTIVE_LIMIT = 12
@@ -72,6 +81,56 @@ def gf2_rank(rows: Sequence[int]) -> int:
                 break
             row ^= other
     return rank
+
+
+def gf2_rank_table(groups: Sequence[Sequence[int]]) -> List[int]:
+    """r[X] for every subset mask X: the GF(2) rank of the vectors
+    ``groups[u]`` (bit masks) over all u in X.
+
+    One depth-first sweep reaches each set X from X minus its largest
+    element.  A node carries the vectors of every later group reduced modulo
+    its own span, packed side by side into one int of fixed-width fields, so
+    a child's rank is its parent's plus the nonzero vectors of its own
+    residual group, and one reduction step updates all later fields at once.
+    """
+    n = len(groups)
+    width = max([v.bit_length() for g in groups for v in g] + [1])
+    field = (1 << width) - 1
+    sizes = [len(g) * width for g in groups]
+    packed = ones = shift = 0
+    for g in groups:
+        for v in g:
+            packed |= v << shift
+            ones |= 1 << shift
+            shift += width
+    # pivot bit -> that bit in every field
+    spread = [ones << pos for pos in range(width)]
+    table = [0] * (1 << n)
+    last = n - 1
+
+    def visit(x: int, rank: int, rest: int, first: int) -> None:
+        # rest: residuals of groups first..n-1, group ``first`` lowest.
+        for j in range(first, n):
+            size = sizes[j]
+            tail = rest
+            rest >>= size
+            r = rank
+            while size:
+                v = tail & field
+                tail >>= width
+                size -= width
+                if v:
+                    # Pivot on v's lowest bit and clear it from every later field.
+                    r += 1
+                    pos = (v & -v).bit_length() - 1
+                    tail ^= ((tail & spread[pos]) >> pos) * v
+            child = x | 1 << j
+            table[child] = r
+            if j < last:
+                visit(child, r, tail, j + 1)
+
+    visit(0, 0, packed, 0)
+    return table
 
 
 class GroundSet:
@@ -154,6 +213,13 @@ class ConnectivityOracle:
     threads is safe.  The ``caches`` dict carries derived per-oracle state
     (constrained-minimum tables, enumerated bases, tangle structures); it is
     populated deterministically from the function itself.
+
+    A builder that can compute kappa on every subset at once sets the
+    ``tabulate`` hook (``() -> list`` indexed by mask).  The first scan read,
+    ``value_getter()`` or ``levels()``, then fills that table, where the memo
+    is on and a scan of the whole ground set is within FREE_LIMIT; the table
+    replaces the dict memo, and ``calls`` grows by the subsets the memo did
+    not hold, as if the scan had evaluated them one by one.
     """
 
     def __init__(
@@ -173,6 +239,8 @@ class ConnectivityOracle:
         self._lock = threading.Lock()
         self.caches: dict = {}
         self.minimizer = None  # optional pluggable constrained minimizer
+        self.tabulate: Optional[Callable[[], List[int]]] = None  # optional dense kappa table
+        self._table: Optional[List[int]] = None
 
     @property
     def calls(self) -> int:
@@ -182,7 +250,12 @@ class ConnectivityOracle:
         """Return kappa(x), counting one oracle call unless memoized."""
         if not self.ground.contains_mask(x):
             raise DomainError("subset mask outside this oracle's ground set")
+        # The table is published before the memo is dropped, so read the memo
+        # first: a dropped memo means the table is there.
         memo = self._memo
+        table = self._table
+        if table is not None:
+            return table[x]
         if memo is not None:
             v = memo.get(x)
             if v is not None:
@@ -198,6 +271,9 @@ class ConnectivityOracle:
 
     def value_getter(self) -> Callable[[int], int]:
         """A fast lookup closure for inner loops (bypasses mask validation)."""
+        table = self._tabulated()
+        if table is not None:
+            return table.__getitem__
         memo = self._memo
         fn = self._fn
 
@@ -217,21 +293,45 @@ class ConnectivityOracle:
                 return v
         return get
 
+    def _tabulated(self) -> Optional[List[int]]:
+        """The dense kappa table, filled here on first use if the oracle can
+        have one; None otherwise.  Racing threads may each compute a table,
+        but only the first one published is kept and counted."""
+        if (
+            self._table is None
+            and self.tabulate is not None
+            and self._memo is not None
+            and self.ground.n <= FREE_LIMIT
+        ):
+            values = self.tabulate()
+            with self._lock:
+                if self._table is None:
+                    self._calls += len(values) - len(self._memo)
+                    self._table = values
+                    self._memo = None
+        return self._table
+
     def levels(self) -> Optional[List[Tuple[int, List[int]]]]:
         """Every subset of the ground set grouped by kappa value, as
         ``(value, sets)`` pairs in ascending value; None until the memo holds
-        all 2^n subsets.
+        all 2^n subsets.  An oracle with a ``tabulate`` hook fills its table
+        here instead of waiting for the memo.
 
-        The groups are built once, from the memo's own keys, so they cost no
-        kappa evaluation and no new int objects.
+        The groups are built once, from the table or the memo's own keys, so
+        they cost no kappa evaluation.
         """
         levels = self.caches.get("levels")
         if levels is None:
-            memo = self._memo
-            if memo is None or len(memo) <= self.ground.full_mask:
-                return None
+            table = self._tabulated()
+            if table is not None:
+                items: Iterable[Tuple[int, int]] = enumerate(table)
+            else:
+                memo = self._memo
+                if memo is None or len(memo) <= self.ground.full_mask:
+                    return None
+                items = memo.items()
             groups: dict = {}
-            for x, v in memo.items():
+            for x, v in items:
                 groups.setdefault(v, []).append(x)
             levels = self.caches.setdefault("levels", sorted(groups.items()))
         return levels
@@ -298,7 +398,11 @@ def edge_boundary_fn(graph: Graph) -> ConnectivityOracle:
 
 
 def cut_rank_fn(graph: Graph) -> ConnectivityOracle:
-    """Connectivity function on V(G): GF(2) rank of the X x X-bar adjacency matrix."""
+    """Connectivity function on V(G): GF(2) rank of the X x X-bar adjacency matrix.
+
+    The table uses rho(X) = r(e_v, a_v : v in X) - |X|, with e_v the unit
+    vector and a_v the adjacency column of v (Oum and Seymour, 2006).
+    """
     ground = GroundSet(graph.n)
     adj = graph.adjacency_masks()
     full = ground.full_mask
@@ -308,7 +412,13 @@ def cut_rank_fn(graph: Graph) -> ConnectivityOracle:
         rows = [adj[v] & xb for v in iter_bits(x)]
         return gf2_rank(rows)
 
-    return ConnectivityOracle(ground, fn, name="cut-rank")
+    def table() -> List[int]:
+        ranks = gf2_rank_table([(1 << v, a) for v, a in enumerate(adj)])
+        return [r - x.bit_count() for x, r in enumerate(ranks)]
+
+    oracle = ConnectivityOracle(ground, fn, name="cut-rank")
+    oracle.tabulate = table
+    return oracle
 
 
 def matroid_connectivity_fn(matrix_rows: Sequence[int], n_cols: int) -> ConnectivityOracle:
@@ -337,7 +447,14 @@ def matroid_connectivity_fn(matrix_rows: Sequence[int], n_cols: int) -> Connecti
     def fn(x: int) -> int:
         return rank_of(x) + rank_of(full & ~x) - total
 
-    return ConnectivityOracle(ground, fn, name="matroid")
+    def table() -> List[int]:
+        # Reversed, the rank table lists r(E - X) in the order of X.
+        ranks = gf2_rank_table([(c,) for c in cols])
+        return [a + b - total for a, b in zip(ranks, reversed(ranks))]
+
+    oracle = ConnectivityOracle(ground, fn, name="matroid")
+    oracle.tabulate = table
+    return oracle
 
 
 @dataclass

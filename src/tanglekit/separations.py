@@ -13,10 +13,14 @@ vertex-cut and edge-boundary oracles carry a max-flow minimizer
 (``flow.FlowNetwork``) that answers every box without evaluating kappa.
 Every oracle without a minimizer (cut-rank, matroid, custom kappa,
 contractions) uses the default, one exhaustive scan of the free positions;
-FREE_LIMIT guards that scan and nothing else.  Once the oracle's memo is
-complete, the scan first walks ``oracle.levels()``, the subsets grouped by
-kappa value, upward until a group meets the box.  It reads at most as many
-sets as the box has, then falls back to walking the box's subsets.
+FREE_LIMIT (kept in ``connectivity``) guards that scan, and a dense kappa
+table is filled only within it.  Once the oracle's memo is complete, the
+scan first walks ``oracle.levels()``, the subsets grouped by kappa value,
+upward until a group meets the box.  It reads at most as many sets as the
+box has, then falls back to walking the box's subsets.  The cut-rank and
+matroid oracles tabulate kappa in one GF(2) sweep on their first scan read,
+so even their first scan walks the groups; custom kappa and contractions
+fill their memo lazily, through the scans themselves.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .connectivity import ConnectivityOracle
+from .connectivity import FREE_LIMIT, ConnectivityOracle
 from .errors import DomainError, SizeGuardError
-
-FREE_LIMIT = 22
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
+from tanglekit import connectivity
 from tanglekit.cli import main, parse_instance
 
 from conftest import TRIFORCE_EDGES
@@ -166,6 +168,42 @@ def test_stats_reproducible(triforce_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "stats: oracle calls = " in first
+
+
+# Two 5-cycles joined by an edge (cut-rank, 10 vertices) and the
+# vertex-edge incidence matrix of K4 (matroid, 6 columns).
+C5C5_FILE = "graph 10 11\n0 1\n1 2\n2 3\n3 4\n0 4\n5 6\n6 7\n7 8\n8 9\n5 9\n0 5\n"
+MK4_FILE = "matrix 4 6\n111000\n100110\n010101\n001011\n"
+
+
+@pytest.mark.parametrize(
+    "content, fn, n",
+    [(C5C5_FILE, ["--fn", "cut-rank"], 10), (MK4_FILE, [], 6)],
+    ids=["cut-rank", "matroid"],
+)
+def test_gf2_stats_count_every_subset_once(tmp_path, capsys, content, fn, n):
+    """The first box scan reads kappa on every subset, each counted once."""
+    path = tmp_path / "instance.txt"
+    path.write_text(content)
+    for command in ("tangles", "decompose"):
+        assert main([command, "--order", "2", "--stats"] + fn + [str(path)]) == 0
+        stats = [line for line in capsys.readouterr().out.splitlines() if line.startswith("stats:")]
+        assert stats == [f"stats: oracle calls = {2 ** n}"], command
+
+
+def test_wide_matrix_refused_without_a_table(tmp_path, monkeypatch, capsys):
+    """23 columns exceed the scan guard: the refusal comes before any table."""
+
+    def no_table(groups):
+        raise AssertionError("a GF(2) rank table was filled")
+
+    monkeypatch.setattr(connectivity, "gf2_rank_table", no_table)
+    rng = random.Random(23)
+    rows = ["".join(rng.choice("01") for _ in range(23)) for _ in range(6)]
+    path = tmp_path / "wide.txt"
+    path.write_text("matrix 6 23\n" + "\n".join(rows) + "\n")
+    assert main(["tangles", "--order", "2", str(path)]) == 4
+    assert "size guard" in capsys.readouterr().err
 
 
 def test_matrix_instance_flow(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Connectivity oracles: built-in instances, axioms, memoization."""
 
+import random
 import threading
 
 import pytest
@@ -19,7 +20,10 @@ from tanglekit import (
     verify_axioms,
     vertex_cut_fn,
 )
-from tanglekit.connectivity import gf2_rank
+from tanglekit import connectivity
+from tanglekit.connectivity import gf2_rank, gf2_rank_table, iter_bits
+
+from conftest import k4_cycle_matroid
 
 def test_triforce_triangle_boundary(triforce):
     assert triforce.oracle.evaluate(triforce.t1) == 1
@@ -218,3 +222,117 @@ def test_memoization_never_changes_values(triforce):
     # counter is nondecreasing and memo hits stop counting
     assert memo_on.calls == before + full + 1
     assert memo_off.calls == 2 * (full + 1)
+
+
+# ---------------------------------------------------------------------------
+# The GF(2) rank table and the oracles it backs.
+
+
+def _random_vectors(rng, count, bits):
+    """Random bit masks with one zero vector and one repeated vector."""
+    vecs = [rng.randrange(1, 1 << bits) for _ in range(count)]
+    vecs[rng.randrange(count)] = 0
+    if count > 1:
+        i, j = rng.sample(range(count), 2)
+        vecs[i] = vecs[j]
+    return vecs
+
+
+def _per_set_ranks(groups):
+    return [
+        gf2_rank([v for u in iter_bits(x) for v in groups[u]])
+        for x in range(1 << len(groups))
+    ]
+
+
+def test_gf2_rank_table_matches_per_set_rank():
+    rng = random.Random(28)
+    for _ in range(30):
+        n = rng.randrange(1, 11)
+        bits = rng.randrange(1, 9)
+        columns = [(v,) for v in _random_vectors(rng, n, bits)]
+        assert gf2_rank_table(columns) == _per_set_ranks(columns), columns
+        pool = _random_vectors(rng, 2 * n, bits)
+        groups = [tuple(rng.choices(pool, k=rng.randrange(0, 4))) for _ in range(n)]
+        assert gf2_rank_table(groups) == _per_set_ranks(groups), groups
+
+
+def _random_graphs(rng):
+    """Sparse and dense random graphs whose last vertex is isolated, and K_n."""
+    for n in range(2, 10):
+        for p in (0.3, 0.6):
+            edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1) if rng.random() < p]
+            yield Graph.from_edges(n, edges)
+    for n in range(2, 8):
+        yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def _random_matroids(rng):
+    for _ in range(20):
+        cols = rng.randrange(1, 11)
+        rows = rng.randrange(1, 7)
+        columns = _random_vectors(rng, cols, rows)
+        matrix = [sum(1 << j for j, c in enumerate(columns) if c >> i & 1) for i in range(rows)]
+        if any(matrix):
+            yield matroid_connectivity_fn(matrix, cols)
+
+
+def _gf2_oracles():
+    rng = random.Random(7)
+    yield from (cut_rank_fn(graph) for graph in _random_graphs(rng))
+    yield from _random_matroids(rng)
+
+
+def test_gf2_tables_match_per_set_functions():
+    for oracle in _gf2_oracles():
+        full = oracle.ground.full_mask
+        get = oracle.value_getter()
+        assert oracle._table is not None and oracle._memo is None
+        assert [get(x) for x in range(full + 1)] == [oracle._fn(x) for x in range(full + 1)], oracle
+        assert oracle.calls == full + 1
+
+
+def test_gf2_levels_match_a_per_set_memo():
+    for oracle in _gf2_oracles():
+        lazy = ConnectivityOracle(oracle.ground, oracle._fn)
+        get = lazy.value_getter()
+        for x in range(oracle.ground.full_mask + 1):
+            get(x)
+        grouped = [(v, sorted(sets)) for v, sets in oracle.levels()]
+        assert grouped == [(v, sorted(sets)) for v, sets in lazy.levels()], oracle
+
+
+def test_table_counts_only_the_sets_the_memo_lacked():
+    oracle = k4_cycle_matroid(2)
+    assert [oracle.evaluate(x) for x in (0, 5, 5, 9)] == [oracle._fn(x) for x in (0, 5, 5, 9)]
+    assert oracle.calls == 3 and oracle._table is None
+    assert oracle.levels() is not None
+    assert oracle.calls == 1 << 12
+    assert oracle.evaluate(5) == oracle._table[5] and oracle.calls == 1 << 12
+
+
+def _no_table(groups):
+    raise AssertionError("a GF(2) rank table was filled")
+
+
+def test_no_table_above_the_scan_guard(monkeypatch):
+    """23 columns: kappa goes per set, as no exhaustive scan can run."""
+    monkeypatch.setattr(connectivity, "gf2_rank_table", _no_table)
+    rng = random.Random(23)
+    oracle = matroid_connectivity_fn([rng.randrange(1 << 23) for _ in range(6)], 23)
+    assert oracle._memo is not None
+    get = oracle.value_getter()
+    assert [get(x) for x in (3, 3, 1 << 22)] == [oracle._fn(x) for x in (3, 3, 1 << 22)]
+    assert oracle.evaluate(7) == oracle._fn(7)
+    assert oracle.calls == 3
+    assert oracle.levels() is None and oracle._table is None
+
+
+def test_no_table_without_a_memo(monkeypatch):
+    monkeypatch.setattr(connectivity, "gf2_rank_table", _no_table)
+    for oracle in (k4_cycle_matroid(1), cut_rank_fn(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))):
+        oracle._memo = None
+        get = oracle.value_getter()
+        assert get(3) == get(3) == oracle.evaluate(3)
+        assert oracle.calls == 3
+        assert oracle.levels() is None and oracle._table is None

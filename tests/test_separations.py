@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import K4_EDGES, TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph, k4_cycle_matroid
 from tanglekit import (
+    ConnectivityOracle,
     DomainError,
     Graph,
     MinSeparationResult,
@@ -344,8 +345,17 @@ def test_kappa_groups_on_random_boxes():
     assert _assert_groups_agree(oracle, boxes) > 500
 
 
+def _lazy(oracle):
+    """A plain oracle over the same per-set kappa: no table, a lazy memo."""
+    return ConnectivityOracle(oracle.ground, oracle._fn, name=oracle.name)
+
+
+def _same_groups(levels):
+    return [(v, sorted(sets)) for v, sets in levels]
+
+
 def test_levels_wait_for_a_complete_memo():
-    oracle = k4_cycle_matroid(1)
+    oracle = _lazy(k4_cycle_matroid(1))
     full = oracle.ground.full_mask
     assert oracle.levels() is None
     get = oracle.value_getter()
@@ -361,11 +371,19 @@ def test_levels_wait_for_a_complete_memo():
     assert sorted(x for _, sets in levels for x in sets) == list(range(full + 1))
     assert all(oracle.evaluate(x) == v for v, sets in levels for x in sets)
 
-    unmemoized = k4_cycle_matroid(1)
+    unmemoized = _lazy(k4_cycle_matroid(1))
     unmemoized._memo = None
     _fill_memo(unmemoized)
     assert unmemoized.levels() is None
     assert _exhaustive_box_min(unmemoized, 0, full) == _exhaustive_box_min(oracle, 0, full)
+
+    # The matroid oracle fills its table on the first scan read instead, with
+    # the same groups and the same count as the lazy memo.
+    tabled = k4_cycle_matroid(1)
+    tabled.value_getter()
+    assert tabled.calls == full + 1
+    assert _same_groups(tabled.levels()) == _same_groups(levels)
+    assert tabled.levels() is tabled.levels()
 
 
 def test_concurrent_levels_are_shared():
@@ -375,7 +393,7 @@ def test_concurrent_levels_are_shared():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(40):
-            oracle = k4_cycle_matroid(1)
+            oracle = _lazy(k4_cycle_matroid(1))
             _fill_memo(oracle)
             full = oracle.ground.full_mask
             barrier = threading.Barrier(4)
@@ -399,5 +417,37 @@ def test_concurrent_levels_are_shared():
             for levels, minima in results:
                 assert levels is first[0]
                 assert minima == first[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_tables_are_shared():
+    """Threads racing for a fresh matroid oracle's first scan read all get
+    one table and one list of groups, and the table is counted once."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            oracle = k4_cycle_matroid(2)
+            barrier = threading.Barrier(4)
+            results = []
+
+            def scan():
+                barrier.wait()
+                get = oracle.value_getter()
+                results.append((get.__self__, oracle.levels()))
+
+            threads = [threading.Thread(target=scan) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 4
+            table, levels = results[0]
+            assert len(table) == 1 << oracle.ground.n and levels is not None
+            for other_table, other_levels in results:
+                assert other_table is table and other_levels is levels
+            assert oracle.calls == 1 << oracle.ground.n
     finally:
         sys.setswitchinterval(interval)
