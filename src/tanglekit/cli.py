@@ -54,8 +54,9 @@ EXIT_GUARD = 4
 FN_CHOICES = ("edge-boundary", "vertex-cut", "cut-rank", "matroid")
 
 
-def parse_instance(path: str, fn: str = "edge-boundary") -> ConnectivityOracle:
-    """Read an instance file and wrap it with the requested function."""
+def parse_instance(path: str, fn: Optional[str] = None) -> ConnectivityOracle:
+    """Read an instance file and wrap it with the requested function; without
+    one, graphs get edge-boundary and matrices the matroid function."""
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.readlines()
     lines = [
@@ -91,7 +92,7 @@ def parse_instance(path: str, fn: str = "edge-boundary") -> ConnectivityOracle:
                 raise ParseError("loops are not allowed", lno)
             edges.append((u, v))
         graph = Graph.from_edges(n, edges)
-        if fn == "edge-boundary":
+        if fn in (None, "edge-boundary"):
             return edge_boundary_fn(graph)
         if fn == "vertex-cut":
             return vertex_cut_fn(graph)
@@ -107,7 +108,7 @@ def parse_instance(path: str, fn: str = "edge-boundary") -> ConnectivityOracle:
             raise ParseError("matrix sizes must be integers", lineno)
         if len(lines) - 1 != rows:
             raise ParseError(f"expected {rows} matrix rows, found {len(lines) - 1}", lineno)
-        if fn not in ("matroid", "edge-boundary"):
+        if fn not in (None, "matroid"):
             raise ParseError(f"--fn {fn} does not apply to matrix instances", lineno)
         masks = []
         for lno, text in lines[1:]:
@@ -120,7 +121,7 @@ def parse_instance(path: str, fn: str = "edge-boundary") -> ConnectivityOracle:
 
 
 def _load(args) -> ConnectivityOracle:
-    return parse_instance(args.instance, args.fn or "edge-boundary")
+    return parse_instance(args.instance, args.fn)
 
 
 def _print_stats(args, oracle: ConnectivityOracle) -> None:

@@ -227,14 +227,11 @@ class ConnectivityOracle:
         ground: GroundSet,
         fn: Callable[[int], int],
         name: str = "kappa",
-        memo: Optional[bool] = None,
     ):
         self.ground = ground
         self._fn = fn
         self.name = name
-        if memo is None:
-            memo = ground.n <= MEMO_LIMIT
-        self._memo: Optional[dict] = {} if memo else None
+        self._memo: Optional[dict] = {} if ground.n <= MEMO_LIMIT else None
         self._calls = 0
         self._lock = threading.Lock()
         self.caches: dict = {}

@@ -384,6 +384,11 @@ class TangleTreeDecomposition:
 
     @property
     def oracle(self) -> ConnectivityOracle:
+        if not self.tangles:
+            raise DomainError(
+                "a tree decomposition without tangles has no oracle to check it against; "
+                "check a refined tree with verify_refined_decomposition"
+            )
         return next(iter(self.tangles.values())).oracle
 
 

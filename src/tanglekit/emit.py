@@ -1,14 +1,18 @@
 """Stable JSON and DOT emission for decompositions.
 
-Node ids in emitted documents are canonical: nodes are ordered by a
-subtree code built from bag contents, so the same decomposition always
-serializes to the same bytes, independent of internal node numbering.
+Node ids in emitted documents are canonical: one labeled-tree walk orders
+the nodes by subtree codes and renames them in DFS preorder, so the same
+decomposition always serializes to the same bytes, independent of internal
+node numbering.  A tree decomposition's node is labeled by (bag, tangle
+order, or -1 at a hub) and walked from a code-minimal center; a directed
+decomposition's node by (cone, tangle order), walked from its root.  The
+canonicity harness in ``oracles`` codes decompositions with the same labels.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .connectivity import ConnectivityOracle, bits_list
 from .decomposition import DirectedTreeDecomposition, TangleTreeDecomposition
@@ -65,100 +69,84 @@ def _canonical_order(adj, root, code) -> List[int]:
     return order
 
 
+def tree_labels(
+    ttd: TangleTreeDecomposition, mask_map: Callable[[int], int] = lambda x: x
+) -> Dict[int, tuple]:
+    """Node labels of a tree decomposition: (bag, tangle order or -1), with
+    each bag pushed through ``mask_map`` first."""
+    td = ttd.td
+    order_at = {node: ttd.tangles[i].order for i, node in ttd.tau.items()}
+    return {t: (tuple(bits_list(mask_map(td.bags[t]))), order_at.get(t, -1)) for t in td.nodes()}
+
+
+def directed_labels(
+    dtd: DirectedTreeDecomposition, mask_map: Callable[[int], int] = lambda x: x
+) -> Dict[int, tuple]:
+    """Node labels of a directed decomposition: (cone, tangle order), with
+    each cone pushed through ``mask_map`` first."""
+    return {
+        t: (tuple(bits_list(mask_map(dtd.gamma[t]))), dtd.tangles[i].order)
+        for i, t in dtd.tau.items()
+    }
+
+
+def _document(oracle: ConnectivityOracle, adj, root, code, fields, side, header: dict) -> dict:
+    """The document of a labeled tree: nodes renamed in canonical DFS
+    preorder from ``root``, and one edge from each parent to each child whose
+    separation is ``side(parent, child)``."""
+    ordering = _canonical_order(adj, root, code)
+    rename = {t: i for i, t in enumerate(ordering)}
+    edges = []
+    for t in ordering:
+        for u in adj[t]:
+            if rename[u] > rename[t]:  # in preorder a child comes after its parent
+                edges.append((rename[t], rename[u], side(t, u)))
+    return {
+        "format": DECOMPOSITION_FORMAT,
+        "version": DECOMPOSITION_VERSION,
+        **header,
+        "elements": [oracle.ground.label(e) for e in range(oracle.ground.n)],
+        "nodes": [{"id": rename[t], **fields(t)} for t in ordering],
+        "edges": [
+            {"a": a, "b": b, "separation": bits_list(z), "order": oracle.evaluate(z)}
+            for a, b, z in sorted(edges)
+        ],
+    }
+
+
 def tree_decomposition_document(
     oracle: ConnectivityOracle, ttd: TangleTreeDecomposition, order: int, refined: bool = False
 ) -> dict:
     td = ttd.td
-    tangle_at = {node: i for i, node in ttd.tau.items()}
-    labels = {
-        t: (tuple(bits_list(td.bags[t])), ttd.tangles[tangle_at[t]].order if t in tangle_at else -1)
-        for t in td.nodes()
-    }
-    ordering = _canonical_order(td.adj, *canonical_root(td.adj, labels))
-    rename = {t: i for i, t in enumerate(ordering)}
+    labels = tree_labels(ttd)
 
-    nodes = []
-    for t in ordering:
-        entry: dict = {
-            "id": rename[t],
-            "kind": "tangle" if t in tangle_at else "hub",
-            "bag": bits_list(td.bags[t]),
-        }
-        if t in tangle_at:
-            entry["tangleOrder"] = ttd.tangles[tangle_at[t]].order
-        nodes.append(entry)
+    def fields(t):
+        bag, k = labels[t]
+        if k < 0:
+            return {"kind": "hub", "bag": list(bag)}
+        return {"kind": "tangle", "bag": list(bag), "tangleOrder": k}
 
-    edges = []
-    for s, t in td.edges():
-        a, b = sorted((rename[s], rename[t]))
-        sep = td.edge_sep(ordering[a], ordering[b])
-        edges.append(
-            {
-                "a": a,
-                "b": b,
-                "separation": bits_list(sep),
-                "order": oracle.evaluate(sep),
-            }
-        )
-    edges.sort(key=lambda e: (e["a"], e["b"]))
-
-    doc = {
-        "format": DECOMPOSITION_FORMAT,
-        "version": DECOMPOSITION_VERSION,
-        "kind": "tree",
-        "order": order,
-        "elements": [oracle.ground.label(e) for e in range(oracle.ground.n)],
-        "nodes": nodes,
-        "edges": edges,
-    }
+    header = {"kind": "tree", "order": order}
     if refined:
-        doc["refined"] = True
-    return doc
+        header["refined"] = True
+    return _document(oracle, td.adj, *canonical_root(td.adj, labels), fields, td.edge_sep, header)
 
 
 def directed_decomposition_document(
     oracle: ConnectivityOracle, dtd: DirectedTreeDecomposition, order: int, root_index: int
 ) -> dict:
-    tangle_at = {node: i for i, node in dtd.tau.items()}
+    labels = directed_labels(dtd)
     bags = dtd.bags()
-    code = _subtree_codes(dtd.children, {t: tuple(bits_list(dtd.gamma[t])) for t in dtd.children})
-    ordering = _canonical_order(dtd.children, dtd.root, code)
-    rename = {t: i for i, t in enumerate(ordering)}
 
-    nodes = []
-    for t in ordering:
-        nodes.append(
-            {
-                "id": rename[t],
-                "kind": "tangle",
-                "bag": bits_list(bags[t]),
-                "cone": bits_list(dtd.gamma[t]),
-                "tangleOrder": dtd.tangles[tangle_at[t]].order,
-            }
-        )
-    edges = [
-        {
-            "a": rename[t],
-            "b": rename[u],
-            "separation": bits_list(dtd.gamma[u]),
-            "order": oracle.evaluate(dtd.gamma[u]),
-        }
-        for t in ordering
-        for u in dtd.children[t]
-    ]
-    edges.sort(key=lambda e: (e["a"], e["b"]))
+    def fields(t):
+        cone, k = labels[t]
+        return {"kind": "tangle", "bag": bits_list(bags[t]), "cone": list(cone), "tangleOrder": k}
 
-    return {
-        "format": DECOMPOSITION_FORMAT,
-        "version": DECOMPOSITION_VERSION,
-        "kind": "directed",
-        "order": order,
-        "rootIndex": root_index,
-        "root": 0,
-        "elements": [oracle.ground.label(e) for e in range(oracle.ground.n)],
-        "nodes": nodes,
-        "edges": edges,
-    }
+    code = _subtree_codes(dtd.children, labels)
+    header = {"kind": "directed", "order": order, "rootIndex": root_index, "root": 0}
+    return _document(
+        oracle, dtd.children, dtd.root, code, fields, lambda _, u: dtd.gamma[u], header
+    )
 
 
 def document_to_json(doc: dict) -> str:

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connectivity import (
     ConnectivityOracle,
     Graph,
     GroundSet,
-    bits_list,
     cut_rank_fn,
     edge_boundary_fn,
     matroid_connectivity_fn,
 )
 from .decomposition import PartialDecomposition, branch_decomposition_from_leaf_sets
-from .emit import _subtree_codes, canonical_root
+from .emit import _subtree_codes, canonical_root, directed_labels, tree_labels
 from .errors import SizeGuardError, StructuralError
 from .separations import box_min, kappa_min
 from .tangles import ExplicitTangle
@@ -119,7 +119,6 @@ def _tree_widths(oracle: ConnectivityOracle, edges: List[Tuple[int, int]]) -> in
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    n = oracle.ground.n
 
     memo: Dict[Tuple[int, int], int] = {}
 
@@ -291,26 +290,16 @@ def apply_perm(mask: int, perm: Sequence[int]) -> int:
 def decomposition_code(ttd, perm: Optional[Sequence[int]] = None) -> tuple:
     """Isomorphism-invariant code of (tree, bags, tangle orders), with bags
     optionally pushed through a permutation first."""
-    td = ttd.td
-    order_at = {}
-    for i, node in ttd.tau.items():
-        order_at[node] = ttd.tangles[i].order
-    labels = {}
-    for t in td.nodes():
-        bag = td.bags[t] if perm is None else apply_perm(td.bags[t], perm)
-        labels[t] = (tuple(bits_list(bag)), order_at.get(t, -1))
-    root, code = canonical_root(td.adj, labels)
+    mask_map = (lambda x: x) if perm is None else partial(apply_perm, perm=perm)
+    root, code = canonical_root(ttd.td.adj, tree_labels(ttd, mask_map))
     return code(root, None)
 
 
 def directed_code(dtd, perm: Optional[Sequence[int]] = None) -> tuple:
     """Isomorphism-invariant code of (rooted tree, cones, tangle orders), with
     cones optionally pushed through a permutation first."""
-    labels = {}
-    for i, t in dtd.tau.items():
-        cone = dtd.gamma[t] if perm is None else apply_perm(dtd.gamma[t], perm)
-        labels[t] = (tuple(bits_list(cone)), dtd.tangles[i].order)
-    return _subtree_codes(dtd.children, labels)(dtd.root, None)
+    mask_map = (lambda x: x) if perm is None else partial(apply_perm, perm=perm)
+    return _subtree_codes(dtd.children, directed_labels(dtd, mask_map))(dtd.root, None)
 
 
 @dataclass
@@ -343,7 +332,6 @@ def canonicity_harness(
     rng = random.Random(seed)
     n = oracle.ground.n
     reference = canonical_decomposition(oracle, order)
-    base_code = decomposition_code(reference)
     ds = build_structure(oracle, order)
     failures: List[str] = []
     notes: List[str] = []

@@ -28,9 +28,9 @@ from itertools import combinations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .bases import Base, enumerate_lattices
-from .connectivity import ConnectivityOracle, bits_list, iter_bits
+from .connectivity import FREE_LIMIT, ConnectivityOracle, bits_list, iter_bits
 from .errors import DomainError, OutOfOrderError, SizeGuardError, StructuralError
-from .separations import FREE_LIMIT, box_min
+from .separations import box_min
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def minimal_member_in_box(
     The exhaustive reference: tries the box's sets in order of size and
     returns the first member, or None when there is none.  ``member``
     is only asked about sets with kappa <= max_order.  Guarded like the
-    exhaustive box scan, at ``separations.FREE_LIMIT`` free positions.
+    exhaustive box scan, at ``connectivity.FREE_LIMIT`` free positions.
     """
     if lo & ~hi:
         return None

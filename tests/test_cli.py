@@ -45,6 +45,18 @@ def test_parse_matrix(tmp_path):
     assert oracle.evaluate(0) == 0
 
 
+def test_matrix_takes_only_the_matroid_function(tmp_path, capsys):
+    """Without --fn a matrix file gets the matroid function; an explicit
+    graph function is refused, not silently replaced."""
+    path = tmp_path / "m.txt"
+    path.write_text(MATRIX_FILE)
+    assert main(["tangles", "--order", "1", str(path)]) == 0
+    capsys.readouterr()
+    for fn in ("edge-boundary", "vertex-cut", "cut-rank"):
+        assert main(["tangles", "--order", "1", "--fn", fn, str(path)]) == 3, fn
+        assert f"--fn {fn} does not apply to matrix instances" in capsys.readouterr().err
+
+
 def test_parse_errors(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

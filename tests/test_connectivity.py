@@ -126,7 +126,7 @@ def test_verify_axioms_sampling_mode():
 
 
 def test_verify_axioms_refuses_large():
-    oracle = ConnectivityOracle(GroundSet(30), lambda x: 0, memo=False)
+    oracle = ConnectivityOracle(GroundSet(30), lambda x: 0)
     with pytest.raises(SizeGuardError):
         verify_axioms(oracle)
 

@@ -367,6 +367,16 @@ def test_refine_triforce(triforce):
     assert td.adhesion(oracle) < 2
 
 
+def test_tangle_verifier_refuses_a_tree_without_tangles(triforce):
+    """The CLI wraps a refined tree with no tangles; the tangle verifier
+    names the refinement check instead of failing inside."""
+    td = refine_single_tangle(triforce.oracle, 2)
+    ttd = decomposition.TangleTreeDecomposition(td, {}, {}, None)
+    with pytest.raises(DomainError, match="verify_refined_decomposition"):
+        verify_tangle_decomposition(ttd)
+    assert verify_refined_decomposition(triforce.oracle, td, 2).ok
+
+
 def test_refine_single_tangle_instance(k4):
     td = refine_single_tangle(k4, 3)
     assert len(td.nodes()) == 1

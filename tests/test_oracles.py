@@ -35,7 +35,7 @@ def test_brute_tangles_satisfy_axioms(triforce):
 
 
 def test_brute_tangles_guards():
-    big = ConnectivityOracle(GroundSet(12), lambda x: 0, memo=False)
+    big = ConnectivityOracle(GroundSet(12), lambda x: 0)
     with pytest.raises(SizeGuardError):
         brute_force_tangles(big, 1)
 

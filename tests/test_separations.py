@@ -197,7 +197,7 @@ def test_exhaustive_guard():
     from tanglekit import SizeGuardError
     from tanglekit.connectivity import ConnectivityOracle, GroundSet
 
-    big = ConnectivityOracle(GroundSet(25), lambda x: 0, memo=False)
+    big = ConnectivityOracle(GroundSet(25), lambda x: 0)
     with pytest.raises(SizeGuardError):
         kappa_min(big, 0, 0)
 
