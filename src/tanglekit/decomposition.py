@@ -466,7 +466,7 @@ def coherent_nested_family(ds: TangleDataStructure, indices: Sequence[int]) -> F
     def sep(i: int, j: int) -> int:
         got = pair_sep.get((i, j))
         if got is None:
-            got = leftmost_tangle_separation(ds.tangle(i), ds.tangle(j), known_order=order - 1)
+            got = leftmost_tangle_separation(ds.tangle(i), ds.tangle(j))
             if got is None:
                 raise DomainError("family is not coherent: comparable members")
             pair_sep[(i, j)] = got

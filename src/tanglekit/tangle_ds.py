@@ -264,12 +264,18 @@ class TangleDataStructure:
                 if any(not 0 <= b < n for b in separator):
                     raise DomainError(f"separator element out of range 0..{n - 1}")
                 sep = sum(1 << b for b in separator)
+                if oracle.evaluate(sep) >= k:
+                    raise DomainError(f"a separator at level {k} has order {k} or more")
                 yes = decode(node["contains"], path + (sep,))
                 no = decode(node["avoids"], path + (full & ~sep,))
                 return ("split", sep, yes, no)
 
             tree = decode(entry["tree"], ())
+            if tree is not None and ds.levels and ds.levels[-1].tree is None:
+                raise DomainError(f"level {k} has tangles above an empty level")
             ds.levels.append(_Level(k, tree, paths))
+        if doc.get("order") != ds.order():
+            raise DomainError(f"document order differs from its last level's, {ds.order()}")
         return ds
 
 

@@ -266,23 +266,18 @@ def minimal_member_in_lattice(
     oracle: ConnectivityOracle,
     member: Callable[[int], bool],
     base: Base,
-    within: Optional[int] = None,
 ) -> Optional[int]:
     """An inclusion-minimal member of (union of tangles) inside L(base).
 
-    With ``within`` given, the lattice is additionally restricted to subsets
-    of that window.  Each tangle is upward closed below its order, so the
-    union's members form an up-set of the lattice: it meets the lattice iff
-    it holds the top, and some member inside x avoids u iff the rightmost
-    lattice set inside x - u is one.  One descent over the top's elements
-    outside b1 thus ends at a minimal member; a u that fails once fails for
-    every smaller x.  For a single tangle, whose lattice members are closed
-    under intersection, that is its least member.
+    Each tangle is upward closed below its order, so the union's members
+    form an up-set of the lattice: it meets the lattice iff it holds the
+    top, and some member inside x avoids u iff the rightmost lattice set
+    inside x - u is one.  One descent over the top's elements outside b1
+    thus ends at a minimal member; a u that fails once fails for every
+    smaller x.  For a single tangle, whose lattice members are closed under
+    intersection, that is its least member.
     """
-    hi = oracle.ground.complement(base.b2)
-    if within is not None:
-        hi &= within
-    r = box_min(oracle, base.b1, hi)
+    r = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
     if r is None or r[0] != base.order:
         return None
     q, bottom, top = r
@@ -316,40 +311,41 @@ def comparable(t1: Tangle, t2: Tangle) -> bool:
     return is_extension(t1, t2) or is_extension(t2, t1)
 
 
-def _least_member_of_order(
-    tangle: Tangle,
-    q: int,
-    within: Optional[int] = None,
-    accept: Callable[[int], bool] = lambda m: True,
-) -> Optional[int]:
-    """The least of the tangle's least members in the order-q base lattices
-    (restricted to ``within``) that ``accept`` admits; None when there are
-    none.  The least must lie inside every other candidate."""
+def _least_members(tangle: Tangle, q: int) -> Tuple[int, ...]:
+    """The tangle's least members in the order-q lattices of
+    ``enumerate_lattices``, in lattice order; cached per oracle, since they
+    depend only on the tangle and the lattice."""
     oracle = tangle.oracle
-    candidates = []
-    for base in enumerate_lattices(oracle, q):
-        if base.order != q:
-            continue
-        m = minimal_member_in_lattice(oracle, tangle.member, base, within=within)
-        if m is not None and accept(m):
-            candidates.append(m)
-    if not candidates:
-        return None
-    least = min(candidates, key=lambda m: (m.bit_count(), m))
-    for c in candidates:
-        if least & ~c:
-            raise StructuralError("minimum separations are not intersection-directed")
-    return least
+    cache = oracle.cache("least_members")
+    key = (tangle.order, tangle.signature, q)
+    hit = cache.get(key)
+    if hit is None:
+        lattices = [b for b in enumerate_lattices(oracle, q) if b.order == q]
+        found = [minimal_member_in_lattice(oracle, tangle.member, b) for b in lattices]
+        hit = cache.setdefault(key, tuple(m for m in found if m is not None))
+    return hit
 
 
-def leftmost_tangle_separation(
-    t1: Tangle, t2: Tangle, known_order: Optional[int] = None
-) -> Optional[int]:
+def _least_accepted(tangle: Tangle, limit: int, accept: Callable[[int], bool]) -> Optional[int]:
+    """At the first order below ``limit`` where ``accept`` admits some of the
+    tangle's least members, the least of those, which must lie inside every
+    other; None when no order has one."""
+    for q in range(limit):
+        candidates = [m for m in _least_members(tangle, q) if accept(m)]
+        if candidates:
+            least = min(candidates, key=lambda m: (m.bit_count(), m))
+            if any(least & ~c for c in candidates):
+                raise StructuralError("minimum separations are not intersection-directed")
+            return least
+    return None
+
+
+def leftmost_tangle_separation(t1: Tangle, t2: Tangle) -> Optional[int]:
     """The leftmost minimum (t1, t2)-separation, or None if comparable.
 
-    Scans base orders upward; for each distinct base lattice, the least
-    member of t1 inside it is a candidate whenever its complement lies in t2.
-    The true leftmost separation is the least candidate at the first order
+    Scans base orders upward; the least member of t1 in each base lattice
+    of that order is a candidate whenever its complement lies in t2.  The
+    true leftmost separation is the least candidate at the first order
     where any appear.
     """
     if t1.oracle is not t2.oracle:
@@ -357,24 +353,18 @@ def leftmost_tangle_separation(
     if comparable(t1, t2):
         return None
     complement = t1.oracle.ground.complement
-    limit = min(t1.order, t2.order)
-    orders = range(limit) if known_order is None else (known_order,)
-    for q in orders:
-        m = _least_member_of_order(t1, q, accept=lambda m: t2.member(complement(m)))
-        if m is not None:
-            return m
-    raise StructuralError("incomparable tangles admit no separation; oracle is not a tangle")
+    m = _least_accepted(t1, min(t1.order, t2.order), lambda m: t2.member(complement(m)))
+    if m is None:
+        raise StructuralError("incomparable tangles admit no separation; oracle is not a tangle")
+    return m
 
 
 def leftmost_tangle_set_separation(tangle: Tangle, x: int) -> Optional[int]:
     """The leftmost minimum (tangle, x)-separation: the least minimum-order
-    member of the tangle disjoint from x.  None if no member avoids x."""
-    window = tangle.oracle.ground.complement(x)
-    for q in range(tangle.order):
-        m = _least_member_of_order(tangle, q, within=window)
-        if m is not None:
-            return m
-    return None
+    member of the tangle disjoint from x.  None if no member avoids x.  The
+    tangle's members in a lattice lie above its least member there, so the
+    tangle has one disjoint from x iff that least member is."""
+    return _least_accepted(tangle, tangle.order, lambda m: not m & x)
 
 
 def tangle_lattice_bottom(tangle: Tangle, base: Base) -> Optional[int]:

@@ -43,6 +43,13 @@ def chain_k4_vertex_cut(blocks):
     return vertex_cut_fn(Graph.from_edges(4 * blocks, edges))
 
 
+def two_c5_cut_rank():
+    """Two five-cycles joined by one edge, under GF(2) cut rank, |U| = 10:
+    two incomparable order-2 tangles, one per cycle."""
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    return cut_rank_fn(Graph.from_edges(10, edges + [(0, 5)]))
+
+
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 

@@ -15,6 +15,7 @@ from tanglekit import (
     build_structure,
     edge_boundary_fn,
 )
+from tanglekit.connectivity import bits_list
 from tanglekit.oracles import brute_force_leftmost_tangle_separation, brute_force_tangles
 from tanglekit.tangle_ds import TangleDataStructure
 from tanglekit.tangles import ExplicitTangle, max_tangle_order
@@ -151,15 +152,27 @@ def test_serialization_rejects_mismatch(triforce, p3):
 
 
 def test_serialization_rejects_bad_levels_and_separators(triforce):
-    """Level orders must run 0, 1, 2, ... and separator ids lie below n."""
-    doc = build_structure(triforce.oracle, 2).to_json()
+    """Level orders must run 0, 1, 2, ... up to the document's order, no
+    level with tangles sits above an empty one, and separators lie below n
+    and have order below their level's."""
+    oracle = triforce.oracle
+    doc = build_structure(oracle, 2).to_json()
     skipped = dict(doc, levels=[doc["levels"][0], doc["levels"][2]])
     with pytest.raises(DomainError):
-        TangleDataStructure.from_json(triforce.oracle, skipped)
+        TangleDataStructure.from_json(oracle, skipped)
     bad = json.loads(json.dumps(doc))
-    bad["levels"][2]["tree"]["separator"].append(triforce.oracle.ground.n)
+    bad["levels"][2]["tree"]["separator"].append(oracle.ground.n)
     with pytest.raises(DomainError):
-        TangleDataStructure.from_json(triforce.oracle, bad)
+        TangleDataStructure.from_json(oracle, bad)
+    high = json.loads(json.dumps(doc))
+    order3 = next(x for x in range(triforce.full + 1) if oracle.evaluate(x) == 3)
+    high["levels"][2]["tree"]["separator"] = bits_list(order3)
+    split = {"separator": [0], "contains": {"leaf": 0}, "avoids": {"leaf": 1}}
+    split_at_0 = dict(doc, levels=[{"order": 0, "tree": split}, *doc["levels"][1:]])
+    above_empty = dict(doc, levels=[doc["levels"][0], {"order": 1, "tree": None}, doc["levels"][2]])
+    for mutated in (high, split_at_0, above_empty, dict(doc, order=7)):
+        with pytest.raises(DomainError):
+            TangleDataStructure.from_json(oracle, mutated)
 
 
 def _edit_split(key, value=None):

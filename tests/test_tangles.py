@@ -3,11 +3,13 @@
 import random
 import sys
 import threading
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
-from conftest import TRIFORCE_EDGES, grid3_graph
+from conftest import TRIFORCE_EDGES, grid3_graph, two_c5_cut_rank
 from tanglekit import (
     Base,
     DomainError,
@@ -358,6 +360,72 @@ def test_leftmost_tangle_set_separation(triforce):
     assert leftmost_tangle_set_separation(tri1, triforce.t1) is None
 
 
+def _reference_set_separation(oracle, members, x):
+    """The intersection of the least-order members disjoint from x, which
+    must be one of them; None when no member is disjoint from x."""
+    disjoint = [m for m in members if not m & x]
+    if not disjoint:
+        return None
+    q = min(oracle.evaluate(m) for m in disjoint)
+    least = [m for m in disjoint if oracle.evaluate(m) == q]
+    meet = reduce(and_, least)
+    assert meet in least
+    return meet
+
+
+def test_set_separation_against_reference(triforce, p3, k4, c5rank):
+    """Every tangle against its explicit family from the brute-force
+    enumeration, for every x up to 8 elements and a seeded sample above."""
+    oracles = [triforce.oracle, p3, k4, c5rank]
+    oracles += [o for seed in range(4) for _, o in random_instances(seed, 10)]
+    rng = random.Random(0)
+    for oracle in oracles:
+        full = oracle.ground.full_mask
+        xs = range(full + 1) if oracle.ground.n <= 8 else rng.sample(range(full + 1), 128)
+        ds = build_structure(oracle, max_tangle_order(oracle))
+        explicit = {}
+        for i in range(1, len(ds) + 1):
+            tangle = ds.tangle(i)
+            if tangle.order not in explicit:
+                explicit[tangle.order] = brute_force_tangles(oracle, tangle.order)
+            family = [e.members for e in explicit[tangle.order] if set(tangle.signature) <= e.members]
+            assert len(family) == 1
+            for x in xs:
+                want = _reference_set_separation(oracle, family[0], x)
+                assert leftmost_tangle_set_separation(tangle, x) == want
+
+
+def test_separations_reuse_least_members(monkeypatch):
+    """Least members are computed once per tangle and order: asking every
+    separation again runs no lattice descent."""
+    from tanglekit import tangles
+
+    structures = []
+    for oracle in (edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES)), two_c5_cut_rank()):
+        structures.append(build_structure(oracle, max_tangle_order(oracle)))
+
+    def ask():
+        out = []
+        for ds in structures:
+            indices = range(1, len(ds) + 1)
+            out += [ds.separation(i, j) for i in indices for j in indices if i != j]
+            out += [leftmost_tangle_set_separation(ds.tangle(i), x) for i in indices for x in (0, 1, 6)]
+        return out
+
+    first = ask()
+    assert any(z is not None for z in first)
+    calls = []
+    descent = tangles.minimal_member_in_lattice
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return descent(*args, **kwargs)
+
+    monkeypatch.setattr(tangles, "minimal_member_in_lattice", counted)
+    assert ask() == first
+    assert not calls
+
+
 def test_tangle_count_bound(triforce, p3, k4, c5rank, grid3):
     for oracle in (triforce.oracle, p3, k4, c5rank, grid3):
         n = oracle.ground.n
@@ -475,5 +543,38 @@ def test_concurrent_context_is_shared():
                 assert not t.is_alive()
             assert len(results) == 4
             assert all(r is results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_separations():
+    """Threads asking every separation of one fresh structure at once get
+    the serial answers, while they fill the shared least-member cache."""
+
+    def answers(ds):
+        indices = range(1, len(ds) + 1)
+        return {(i, j): ds.separation(i, j) for i in indices for j in indices if i != j}
+
+    serial = answers(build_structure(two_c5_cut_rank(), 2))
+    assert any(z is not None for z in serial.values())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ds = build_structure(two_c5_cut_rank(), 2)
+            barrier = threading.Barrier(4)
+            results = []
+
+            def ask():
+                barrier.wait()
+                results.append(answers(ds))
+
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
     finally:
         sys.setswitchinterval(interval)
