@@ -15,7 +15,9 @@ reading either is one cached ``box_min`` lookup.  Bases of bounded order are
 the search skeleton for every tangle algorithm in this library.
 
 L(B1, B2) is determined by its bottom and top: it is the set of members of
-the box [bottom, top] of kappa equal to the order.  Many bases share one
+the box [bottom, top] of kappa equal to the order.  The tangle algorithms
+read the members between them from the lattice's join table, the least
+member holding each element of top - bottom.  Many bases share one
 lattice, and everything the tangle algorithms compute per base depends only
 on that lattice, so ``enumerate_lattices`` lists each distinct lattice once,
 as the base (bottom, complement(top)), in the order of the first base of

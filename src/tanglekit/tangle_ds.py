@@ -271,6 +271,8 @@ class TangleDataStructure:
                 return ("split", sep, yes, no)
 
             tree = decode(entry["tree"], ())
+            if tree is None and k == 0:
+                raise DomainError("level 0 has no tree; every oracle has the empty tangle")
             if tree is not None and ds.levels and ds.levels[-1].tree is None:
                 raise DomainError(f"level {k} has tangles above an empty level")
             ds.levels.append(_Level(k, tree, paths))

@@ -15,10 +15,12 @@ The avoidance decision itself follows the dual decomposition search: it
 maintains, for every lattice L(B) of a base B of bounded order, a growing
 decomposable member mu of L(B), and declares that a tangle exists exactly
 when no two mu values cover the ground set.  Bases sharing a lattice share
-their mu, so there is one mu per lattice.  One rule grows mu: the rightmost
+their mu, so there is one mu per lattice.  One rule grows mu: the greatest
 member of L(B) inside a window joins mu.  The windows are each singleton
 (no singleton is a member), each avoided set, and every union of two mu
-values.
+values.  Each lattice is read through its join table, the least member
+holding each element: the greatest member inside a window is the bottom
+plus every table entry inside it, so the fixpoint reads no box.
 """
 
 from __future__ import annotations
@@ -90,19 +92,21 @@ class AvoidContext:
     There is one mu per lattice of the bases of order below ``order``:
     ``lattices`` holds each as the base (bottom, complement(top)) from
     ``enumerate_lattices``, and ``mu[i]`` belongs to ``lattices[i]``.  mu
-    grows by one rule: from a window W, it takes in the rightmost minimizer
-    of the box [bottom, W & top] when that has the lattice's order, which is
-    the greatest member of the lattice inside W.  The windows are each
-    singleton (the no-singleton axiom) and each avoided set, applied once in
-    the first round, and then every union of two mu values; a tangle exists
-    iff no such union is the ground set.  The update depends only on the
-    lattice and W and mu only grows, so a result once in mu stays there and
-    the least fixpoint does not depend on the order windows are applied in.
-    The closure is therefore evaluated semi-naively: each window is checked
-    against the lattices once and kept in ``seen``, from which extra queries
-    also start.  A window that does not contain a lattice's bottom holds
-    none of its members (the lattice is closed under intersection), and one
-    inside mu adds nothing; neither reads a box.
+    grows by one rule: from a window W that holds the lattice's bottom, it
+    takes in the greatest member of the lattice inside W, read from the
+    lattice's join table (``_joins``) as the bottom plus every join inside
+    W.  The windows are each singleton (the no-singleton axiom) and each
+    avoided set, applied once in the first round, and then every union of
+    two mu values; a tangle exists iff no such union is the ground set.
+    The update depends only on the lattice and W and mu only grows, so a
+    result once in mu stays there and the least fixpoint does not depend on
+    the order windows are applied in.  The closure is therefore evaluated
+    semi-naively: each window is checked against the lattices once and kept
+    in ``seen``, from which extra queries also start, and each round forms
+    only the unions that involve a mu value grown in the round before.  A
+    window that does not contain a lattice's bottom holds none of its
+    members (the lattice is closed under intersection), and one inside mu
+    adds nothing; neither reads the table.
     """
 
     def __init__(self, oracle: ConnectivityOracle, order: int, avoids: Iterable[int] = ()):
@@ -110,6 +114,7 @@ class AvoidContext:
         self.order = order
         self.full = oracle.ground.full_mask
         self.lattices: List[Base] = enumerate_lattices(oracle, order - 1)
+        self.tables = [(base.b1, _joins(oracle, base)) for base in self.lattices]
         singletons = [1 << u for u in range(oracle.ground.n)]
         self.mu = [0] * len(self.lattices)
         self.seen: set = set()
@@ -118,26 +123,31 @@ class AvoidContext:
 
     def _run(self, mu, seen: set, windows: Iterable[int]) -> bool:
         """Close mu under the update rule, starting with ``windows`` as the
-        first round's; True iff two mu values cover the ground set."""
-        oracle, lattices = self.oracle, self.lattices
-        windows = set(windows)
-        while True:
-            values = sorted({v for v in mu if v})
-            pairs = {a | b for j, a in enumerate(values) for b in values[j:]}
+        first round's; True iff two mu values cover the ground set.
+
+        mu and ``seen`` are a fixpoint's or fresh: the unions of two of
+        mu's values are all in ``seen``, and none is the ground set.  So a
+        round need only form the unions that involve a value it grew.
+        """
+        tables = self.tables
+        windows = set(windows) - seen
+        while windows:
+            seen |= windows
+            grown = set()
+            for w in sorted(windows):
+                for i, (bottom, joins) in enumerate(tables):
+                    if bottom & ~w or not w & ~mu[i]:
+                        continue
+                    x = _greatest_inside(bottom, joins, w)
+                    if x & ~mu[i]:
+                        mu[i] |= x
+                        grown.add(i)
+            values = {v for v in mu if v}
+            pairs = {a | b for a in {mu[i] for i in grown} for b in values}
             if self.full in pairs:
                 return True
-            windows = (windows | pairs) - seen
-            if not windows:
-                return False
-            seen |= windows
-            for w in sorted(windows):
-                for i, base in enumerate(lattices):
-                    if base.b1 & ~w or not w & ~mu[i]:
-                        continue
-                    r = box_min(oracle, base.b1, w & ~base.b2)
-                    if r[0] == base.order:
-                        mu[i] |= r[2]
-            windows = set()
+            windows = pairs - seen
+        return False
 
     def exists(self, extras: Iterable[int] = ()) -> bool:
         key = frozenset(extras)
@@ -262,6 +272,37 @@ def minimal_member_in_box(
     return None
 
 
+def _joins(oracle: ConnectivityOracle, base: Base) -> Tuple[int, ...]:
+    """The join table of L(base): the distinct J(u), for u in top - bottom,
+    where J(u) is the least member of the lattice that holds u.
+
+    J(u) is the leftmost minimizer of the box [bottom + u, top], whose
+    minimum is the lattice's order because it holds the top.  Every member
+    X is the bottom plus the J(u) of its elements u outside the bottom, so
+    the table fixes the lattice (Birkhoff).  Cached per oracle under the
+    base.
+    """
+    cache = oracle.cache("joins")
+    hit = cache.get(base)
+    if hit is None:
+        _, bottom, top = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
+        found = {box_min(oracle, bottom | 1 << u, top)[1] for u in iter_bits(top & ~bottom)}
+        hit = cache.setdefault(base, tuple(found))
+    return hit
+
+
+def _greatest_inside(bottom: int, joins: Tuple[int, ...], w: int) -> int:
+    """The greatest lattice member inside w, for w holding the bottom: the
+    bottom plus every join inside w, a member since the lattice is closed
+    under union."""
+    outside = ~w
+    x = bottom
+    for j in joins:
+        if not j & outside:
+            x |= j
+    return x
+
+
 def minimal_member_in_lattice(
     oracle: ConnectivityOracle,
     member: Callable[[int], bool],
@@ -271,8 +312,9 @@ def minimal_member_in_lattice(
 
     Each tangle is upward closed below its order, so the union's members
     form an up-set of the lattice: it meets the lattice iff it holds the
-    top, and some member inside x avoids u iff the rightmost lattice set
-    inside x - u is one.  One descent over the top's elements outside b1
+    top, and some member inside x avoids u iff the greatest lattice member
+    inside x - u is one.  One descent over the top's elements outside the
+    bottom, reading each greatest member from the lattice's join table,
     thus ends at a minimal member; a u that fails once fails for every
     smaller x.  For a single tangle, whose lattice members are closed under
     intersection, that is its least member.
@@ -280,17 +322,18 @@ def minimal_member_in_lattice(
     r = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
     if r is None or r[0] != base.order:
         return None
-    q, bottom, top = r
+    _, bottom, top = r
     if not member(top):
         return None
     if bottom == top or member(bottom):
         return bottom
+    joins = _joins(oracle, base)
     x = top
-    for u in iter_bits(top & ~base.b1):
+    for u in iter_bits(top & ~bottom):
         if x >> u & 1:
-            r = box_min(oracle, base.b1, x & ~(1 << u))
-            if r[0] == q and member(r[2]):
-                x = r[2]
+            y = _greatest_inside(bottom, joins, x & ~(1 << u))
+            if member(y):
+                x = y
     return x
 
 

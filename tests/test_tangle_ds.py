@@ -6,7 +6,13 @@ import threading
 
 import pytest
 
-from conftest import TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph
+from conftest import (
+    TRIFORCE_EDGES,
+    chain_k4_vertex_cut,
+    grid3_graph,
+    k4_cycle_matroid,
+    two_c5_cut_rank,
+)
 from tanglekit import (
     DomainError,
     Graph,
@@ -152,9 +158,9 @@ def test_serialization_rejects_mismatch(triforce, p3):
 
 
 def test_serialization_rejects_bad_levels_and_separators(triforce):
-    """Level orders must run 0, 1, 2, ... up to the document's order, no
-    level with tangles sits above an empty one, and separators lie below n
-    and have order below their level's."""
+    """Level orders must run 0, 1, 2, ... up to the document's order, level
+    0 holds the empty tangle, no level with tangles sits above an empty one,
+    and separators lie below n and have order below their level's."""
     oracle = triforce.oracle
     doc = build_structure(oracle, 2).to_json()
     skipped = dict(doc, levels=[doc["levels"][0], doc["levels"][2]])
@@ -170,7 +176,8 @@ def test_serialization_rejects_bad_levels_and_separators(triforce):
     split = {"separator": [0], "contains": {"leaf": 0}, "avoids": {"leaf": 1}}
     split_at_0 = dict(doc, levels=[{"order": 0, "tree": split}, *doc["levels"][1:]])
     above_empty = dict(doc, levels=[doc["levels"][0], {"order": 1, "tree": None}, doc["levels"][2]])
-    for mutated in (high, split_at_0, above_empty, dict(doc, order=7)):
+    empty_at_0 = dict(doc, order=0, levels=[{"order": 0, "tree": None}])
+    for mutated in (high, split_at_0, above_empty, empty_at_0, dict(doc, order=7)):
         with pytest.raises(DomainError):
             TangleDataStructure.from_json(oracle, mutated)
 
@@ -287,18 +294,33 @@ def test_structure_document_golden(name, make):
 
 
 def test_grid3_build_box_count():
-    """Building the 3x3 grid's structure to order 3 caches 2,953 distinct
+    """Building the 3x3 grid's structure to order 3 caches 2,449 distinct
     boxes; minimizing every unordered pair of candidate base sides cached
     5,587."""
     oracle = edge_boundary_fn(grid3_graph())
     build_structure(oracle, 3)
-    assert len(oracle.caches["box_min"]) <= 2953
+    assert len(oracle.caches["box_min"]) <= 2449
 
 
 def test_chain4_build_box_count():
-    """Building the four-K4 chain's structure to order 3 caches 6,887
+    """Building the four-K4 chain's structure to order 3 caches 6,855
     distinct boxes; minimizing every unordered pair of candidate base sides
     cached 14,895."""
     oracle = chain_k4_vertex_cut(4)
     build_structure(oracle, 3)
-    assert len(oracle.caches["box_min"]) <= 6887
+    assert len(oracle.caches["box_min"]) <= 6855
+
+
+def test_two_c5_build_box_count():
+    """Building two C5 under cut rank to order 2 caches 461 distinct boxes:
+    the fixpoint and the lattice descent read join tables, not boxes."""
+    oracle = two_c5_cut_rank()
+    build_structure(oracle, 2)
+    assert len(oracle.caches["box_min"]) <= 461
+
+
+def test_k4_matroid_build_box_count():
+    """Building M(K4) + M(K4) to order 2 caches 553 distinct boxes."""
+    oracle = k4_cycle_matroid(2)
+    build_structure(oracle, 2)
+    assert len(oracle.caches["box_min"]) <= 553

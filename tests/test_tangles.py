@@ -9,7 +9,13 @@ from operator import and_
 
 import pytest
 
-from conftest import TRIFORCE_EDGES, grid3_graph, two_c5_cut_rank
+from conftest import (
+    TRIFORCE_EDGES,
+    chain_k4_vertex_cut,
+    grid3_graph,
+    k4_cycle_matroid,
+    two_c5_cut_rank,
+)
 from tanglekit import (
     Base,
     DomainError,
@@ -31,7 +37,8 @@ from tanglekit import (
     tangle_lattice_bottom,
     truncate,
 )
-from tanglekit.bases import enumerate_bases
+from tanglekit.bases import enumerate_bases, enumerate_lattices
+from tanglekit.connectivity import iter_bits
 from tanglekit.oracles import (
     brute_force_branch_width,
     brute_force_lattice,
@@ -41,7 +48,13 @@ from tanglekit.oracles import (
     random_instances,
 )
 from tanglekit.separations import box_min
-from tanglekit.tangles import AvoidContext, _caterpillar_width, _context
+from tanglekit.tangles import (
+    AvoidContext,
+    _caterpillar_width,
+    _context,
+    _greatest_inside,
+    _joins,
+)
 
 
 def _explicit(oracle, order, sides):
@@ -351,6 +364,102 @@ def test_minimal_member_in_lattice_against_definition(triforce, k4, p3, c5rank, 
                 minimal = _inclusion_minimal([z for z in lattice if member(z)])
                 got = minimal_member_in_lattice(oracle, member, base)
                 assert got in minimal if minimal else got is None
+
+
+def _join_instances(triforce, grid3, c5rank):
+    """The join-table tests read every lattice of enumerate_lattices(oracle, 2)
+    for each of these oracles."""
+    oracles = [triforce.oracle, grid3, c5rank, k4_cycle_matroid(2), chain_k4_vertex_cut(4)]
+    return oracles + [o for seed in range(4) for _, o in random_instances(seed, 10)]
+
+
+def _subsets(mask):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def test_join_table_reads_greatest_member_inside(triforce, grid3, c5rank):
+    """The bottom plus every join inside W is the rightmost minimizer of the
+    box [bottom, W & top], the greatest lattice member inside W: for every
+    W above the bottom when the lattice has at most 10 free positions, and
+    for 200 seeded windows when it has more."""
+    rng = random.Random(31)
+    for oracle in _join_instances(triforce, grid3, c5rank):
+        n, full = oracle.ground.n, oracle.ground.full_mask
+        for base in enumerate_lattices(oracle, 2):
+            bottom, top = base.b1, full & ~base.b2
+            joins = _joins(oracle, base)
+            free = top & ~bottom
+            if free.bit_count() <= 10:
+                inside = list(_subsets(free))
+            else:
+                inside = [rng.getrandbits(n) & free for _ in range(200)]
+            for sub in inside:
+                w = bottom | sub | (rng.getrandbits(n) & ~top & full)
+                value, _, right = box_min(oracle, bottom, w & top)
+                assert value == base.order
+                assert _greatest_inside(bottom, joins, w) == right
+
+
+def test_join_table_holds_least_member_per_element(triforce, grid3, c5rank):
+    """The join table is the set of least members that hold each u in
+    top - bottom, against the lattice's members by definition: the sets
+    between its bottom and top that have its order."""
+    for oracle in _join_instances(triforce, grid3, c5rank):
+        full = oracle.ground.full_mask
+        get = oracle.value_getter()
+        for base in enumerate_lattices(oracle, 2):
+            bottom, top = base.b1, full & ~base.b2
+            free = top & ~bottom
+            members = [bottom | sub for sub in _subsets(free) if get(bottom | sub) == base.order]
+            least = {reduce(and_, [m for m in members if m >> u & 1]) for u in iter_bits(free)}
+            assert set(_joins(oracle, base)) == least
+
+
+def _box_read_descent(oracle, member, base):
+    """The lattice descent by box reads: the greatest lattice member inside
+    x - u is the rightmost minimizer of [b1, x - u] when that box has the
+    lattice's order."""
+    r = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
+    if r is None or r[0] != base.order:
+        return None
+    q, bottom, top = r
+    if not member(top):
+        return None
+    if bottom == top or member(bottom):
+        return bottom
+    x = top
+    for u in iter_bits(top & ~base.b1):
+        if x >> u & 1:
+            r = box_min(oracle, base.b1, x & ~(1 << u))
+            if r[0] == q and member(r[2]):
+                x = r[2]
+    return x
+
+
+def test_lattice_descent_matches_box_reads(triforce, grid3, c5rank):
+    """minimal_member_in_lattice against the box-read descent, for the union
+    of each order's tangles of build_structure(oracle, 3), on every lattice
+    of order at most 2 and, up to 12 elements, on every base."""
+    for oracle in _join_instances(triforce, grid3, c5rank):
+        full = oracle.ground.full_mask
+        build_structure(oracle, 3)
+        unions = {}
+        for order in (1, 2, 3):
+            ctx = _context(oracle, order, ())
+            unions[order] = lambda x, ctx=ctx: ctx.exists((full & ~x,))
+        bases = enumerate_lattices(oracle, 2)
+        if oracle.ground.n <= 12:
+            bases = bases + enumerate_bases(oracle, 2)
+        for base in bases:
+            for order in range(base.order + 1, 4):
+                member = unions[order]
+                expected = _box_read_descent(oracle, member, base)
+                assert minimal_member_in_lattice(oracle, member, base) == expected
 
 
 def test_leftmost_tangle_set_separation(triforce):
