@@ -86,16 +86,28 @@ class TangleDataStructure:
     """Comprehensive access to all tangles of order up to ``order()``.
 
     Lower levels are shared, not copied: extending the structure to a higher
-    order appends levels in place, one thread at a time.  Queries on levels
-    already built take no lock.
+    order appends levels in place, one thread at a time.  Beside the levels
+    it keeps a flat index, one ``Tangle`` per index, and the number of
+    tangles up to each order; a level's entries there are complete before
+    the level joins ``levels``.  Queries on levels already built take no
+    lock and read the index.
     """
 
     def __init__(self, oracle: ConnectivityOracle):
         self.oracle = oracle
-        self.levels: List[_Level] = [_Level(0, ("leaf", 0), [()])]
+        self.levels: List[_Level] = []
+        self._tangles: List[Tangle] = []  # index i is self._tangles[i - 1]
+        self._sizes: List[int] = []  # _sizes[k] is size(k)
         self._build_lock = threading.RLock()
+        self._append(_Level(0, ("leaf", 0), [()]))
 
     # --- bookkeeping
+
+    def _append(self, level: _Level) -> None:
+        # The level goes last: lock-free readers see it once it is indexed.
+        self._tangles.extend(Tangle(self.oracle, level.order, p) for p in level.paths)
+        self._sizes.append(len(self._tangles))
+        self.levels.append(level)
 
     def order(self) -> int:
         return len(self.levels) - 1
@@ -108,16 +120,16 @@ class TangleDataStructure:
                     # every level is empty.
                     nxt = self.order() + 1
                     if self.levels[-1].tree is None:
-                        self.levels.append(_Level(nxt, None, []))
+                        self._append(_Level(nxt, None, []))
                     else:
-                        self.levels.append(_build_level(self.oracle, nxt))
+                        self._append(_build_level(self.oracle, nxt))
         return self
 
     def size(self, k: int) -> int:
         if k < 0:
             return 0
         self.ensure(k)
-        return sum(len(level.paths) for level in self.levels[: k + 1])
+        return self._sizes[k]
 
     def count(self, k: int) -> int:
         """Number of tangles of order exactly k."""
@@ -126,23 +138,12 @@ class TangleDataStructure:
         return len(self.levels[k].paths)
 
     def __len__(self) -> int:
-        return self.size(self.order())
-
-    def _locate(self, i: int) -> Tuple[int, int]:
-        if i < 1 or i > len(self):
-            raise DomainError(f"tangle index {i} out of range 1..{len(self)}")
-        rest = i - 1
-        for level in self.levels:
-            if rest < len(level.paths):
-                return level.order, rest
-            rest -= len(level.paths)
-        raise AssertionError("unreachable")
+        return self._sizes[self.order()]
 
     def indices_of_order(self, k: int) -> List[int]:
         _check_order(k)
         self.ensure(k)
-        base = self.size(k - 1)
-        return [base + j + 1 for j in range(len(self.levels[k].paths))]
+        return list(range(self.size(k - 1) + 1, self._sizes[k] + 1))
 
     def order_realized(self, q: int) -> bool:
         """Is there any subset of order exactly q?
@@ -161,22 +162,24 @@ class TangleDataStructure:
     # --- the seven procedures
 
     def tangle_order(self, i: int) -> int:
-        return self._locate(i)[0]
+        return self.tangle(i).order
 
     def tangle(self, i: int) -> Tangle:
-        order, j = self._locate(i)
-        return Tangle(self.oracle, order, self.levels[order].paths[j])
+        n = len(self)
+        if i < 1 or i > n:
+            raise DomainError(f"tangle index {i} out of range 1..{n}")
+        return self._tangles[i - 1]
 
     def membership(self, i: int, x: int) -> bool:
         return self.tangle(i).member(x)
 
     def truncation(self, i: int, k: int) -> int:
-        order, _ = self._locate(i)
-        if k >= order:
+        tangle = self.tangle(i)
+        if k >= tangle.order:
             return i
         if k < 0:
             raise DomainError("truncation order must be nonnegative")
-        return self.find(k, self.tangle(i).member)
+        return self.find(k, tangle.member)
 
     def find(self, k: int, member: Callable[[int], bool]) -> int:
         """Index of the order-k tangle with the given membership function."""
@@ -237,7 +240,7 @@ class TangleDataStructure:
         if not isinstance(doc.get("levels"), list):
             raise DomainError("structure document lacks a list of levels")
         ds = TangleDataStructure(oracle)
-        ds.levels = []
+        ds.levels, ds._tangles, ds._sizes = [], [], []
         n, full = oracle.ground.n, oracle.ground.full_mask
         for k, entry in enumerate(doc["levels"]):
             if not isinstance(entry, dict) or "order" not in entry or "tree" not in entry:
@@ -275,7 +278,7 @@ class TangleDataStructure:
                 raise DomainError("level 0 has no tree; every oracle has the empty tangle")
             if tree is not None and ds.levels and ds.levels[-1].tree is None:
                 raise DomainError(f"level {k} has tangles above an empty level")
-            ds.levels.append(_Level(k, tree, paths))
+            ds._append(_Level(k, tree, paths))
         if doc.get("order") != ds.order():
             raise DomainError(f"document order differs from its last level's, {ds.order()}")
         return ds

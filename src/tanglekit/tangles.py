@@ -9,7 +9,9 @@ Tangles are represented compactly: a ``Tangle`` is a declared order plus a
 *signature*, a tuple of committed member sets such that exactly one tangle
 of that order contains them all.  Membership of any further set X is then a
 single avoidance query: X is a member iff some tangle of the order contains
-signature + {X}, i.e. avoids the complements of all of these.
+signature + {X}, i.e. avoids the complements of all of these.  The
+context that avoids the signature's complements is bound to the ``Tangle``
+once, so each membership query is one ``AvoidContext.exists`` call.
 
 The avoidance decision itself follows the dual decomposition search: it
 maintains, for every lattice L(B) of a base B of bounded order, a growing
@@ -26,6 +28,7 @@ plus every table entry inside it, so the fixpoint reads no box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,11 +40,18 @@ from .separations import box_min
 
 @dataclass(frozen=True)
 class Tangle:
-    """A tangle fixed by (order, signature) over a connectivity oracle."""
+    """A tangle fixed by (order, signature) over a connectivity oracle; its
+    first membership query binds the avoidance context all of them use."""
 
     oracle: ConnectivityOracle
     order: int
     signature: Tuple[int, ...]
+
+    @cached_property
+    def _avoid(self) -> AvoidContext:
+        # Threads racing to bind it get the oracle's one context from _context.
+        full = self.oracle.ground.full_mask
+        return _context(self.oracle, self.order, {full & ~s for s in self.signature})
 
     def member(self, x: int) -> bool:
         """Decide whether x belongs to this tangle.
@@ -53,9 +63,7 @@ class Tangle:
             raise OutOfOrderError(
                 f"membership undefined: set has order >= tangle order {self.order}"
             )
-        full = self.oracle.ground.full_mask
-        ctx = _context(self.oracle, self.order, {full & ~s for s in self.signature})
-        return ctx.exists((full & ~x,))
+        return self._avoid.exists((self.oracle.ground.full_mask & ~x,))
 
     def __repr__(self) -> str:
         sig = ",".join(format(s, "x") for s in self.signature)

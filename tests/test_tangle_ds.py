@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import random
+import sys
 import threading
 
 import pytest
@@ -11,6 +13,7 @@ from conftest import (
     chain_k4_vertex_cut,
     grid3_graph,
     k4_cycle_matroid,
+    triforce_graph,
     two_c5_cut_rank,
 )
 from tanglekit import (
@@ -22,9 +25,14 @@ from tanglekit import (
     edge_boundary_fn,
 )
 from tanglekit.connectivity import bits_list
-from tanglekit.oracles import brute_force_leftmost_tangle_separation, brute_force_tangles
+from tanglekit import tangles
+from tanglekit.oracles import (
+    brute_force_leftmost_tangle_separation,
+    brute_force_tangles,
+    random_instances,
+)
 from tanglekit.tangle_ds import TangleDataStructure
-from tanglekit.tangles import ExplicitTangle, max_tangle_order
+from tanglekit.tangles import ExplicitTangle, Tangle, max_tangle_order
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -57,6 +65,68 @@ def test_index_bookkeeping(triforce):
         ds.tangle(6)
     with pytest.raises(DomainError):
         ds.tangle(0)
+
+
+def _low_order_sets(oracle, order):
+    return [x for x in range(oracle.ground.full_mask + 1) if oracle.evaluate(x) < order]
+
+
+def _index(ds):
+    """(order, signature) of every index, read through the index."""
+    return [(ds.tangle_order(i), ds.tangle(i).signature) for i in range(1, len(ds) + 1)]
+
+
+def _assert_index_matches_levels(ds):
+    assert _index(ds) == [(level.order, path) for level in ds.levels for path in level.paths]
+    below = 0
+    for k, level in enumerate(ds.levels):
+        count = len(level.paths)
+        assert ds.count(k) == count
+        assert ds.size(k) == below + count
+        assert ds.indices_of_order(k) == list(range(below + 1, below + count + 1))
+        below += count
+    assert len(ds) == below
+
+
+def test_each_index_is_one_tangle_with_one_context(monkeypatch):
+    """The structure hands out one Tangle per index, and that tangle binds
+    its avoidance context on its first membership query."""
+    doc = build_structure(edge_boundary_fn(triforce_graph()), 2).to_json()
+    oracle = edge_boundary_fn(triforce_graph())
+    ds = TangleDataStructure.from_json(oracle, doc)
+    for i in range(1, len(ds) + 1):
+        assert ds.tangle(i) is ds.tangle(i)
+    bound = []
+    context = tangles._context
+    monkeypatch.setattr(tangles, "_context", lambda *args: bound.append(args) or context(*args))
+    contexts = len(oracle.cache("avoid_ctx"))
+    low = _low_order_sets(oracle, 2)
+    for x in (low * 50)[:25]:
+        ds.tangle(3).member(x)
+        ds.membership(3, x)
+    assert len(oracle.cache("avoid_ctx")) == contexts + 1
+    assert len(bound) == 1
+    for i in (0, len(ds) + 1):
+        with pytest.raises(DomainError, match=rf"^tangle index {i} out of range 1\.\.5$"):
+            ds.tangle(i)
+
+
+def test_index_agrees_with_levels(triforce, grid3, c5rank):
+    """Sizes, counts, index ranges, orders and signatures read off the index
+    match the levels' paths, and each index answers membership as a Tangle
+    made from its level's path, on every set of lower order."""
+    oracles = [triforce.oracle, grid3, c5rank]
+    oracles += [o for seed in range(4) for _, o in random_instances(seed, 10)]
+    for oracle in oracles:
+        ds = build_structure(oracle, max_tangle_order(oracle) + 1)
+        _assert_index_matches_levels(ds)
+        if oracle.ground.n > 12:
+            continue
+        for level in ds.levels:
+            low = _low_order_sets(oracle, level.order)
+            for i, path in zip(ds.indices_of_order(level.order), level.paths):
+                fresh = Tangle(oracle, level.order, path)
+                assert [ds.membership(i, x) for x in low] == [fresh.member(x) for x in low]
 
 
 def test_membership_and_errors(triforce):
@@ -149,6 +219,23 @@ def test_serialization_round_trip(triforce):
     for k in range(3):
         assert ds2.levels[k].paths == ds.levels[k].paths
     assert ds2.separation(3, 4) == ds.separation(3, 4)
+    # A loaded structure, on an oracle of its own, indexes and answers as
+    # the built one: the triforce's document and the two golden structures.
+    rng = random.Random(0)
+    cases = [(lambda: edge_boundary_fn(triforce_graph()), doc)]
+    for name, make in (("grid3", lambda: edge_boundary_fn(grid3_graph())),
+                       ("chain4k4", lambda: chain_k4_vertex_cut(4))):
+        cases.append((make, json.loads((GOLDEN / f"{name}_structure_order3.json").read_text())))
+    for make, document in cases:
+        loaded = TangleDataStructure.from_json(make(), document)
+        built = build_structure(make(), loaded.order())
+        _assert_index_matches_levels(loaded)
+        assert _index(loaded) == _index(built)
+        oracle = built.oracle
+        sets = rng.sample(range(oracle.ground.full_mask + 1), min(1024, oracle.ground.full_mask + 1))
+        for i in range(1, len(built) + 1):
+            low = [x for x in sets if oracle.evaluate(x) < built.tangle_order(i)]
+            assert [loaded.membership(i, x) for x in low] == [built.membership(i, x) for x in low]
 
 
 def test_serialization_rejects_mismatch(triforce, p3):
@@ -255,6 +342,82 @@ def test_concurrent_build_structure():
         assert all(r is ds for r in results)
         assert [level.order for level in ds.levels] == [0, 1, 2]
         assert len(ds) == 5
+
+
+def _ask(ds, k, low):
+    """Every size, count, tangle, membership and find query on the levels
+    up to k."""
+    out = {}
+    for q in range(k + 1):
+        out["size", q] = ds.size(q)
+        out["count", q] = ds.count(q)
+    for i in range(1, ds.size(k) + 1):
+        tangle = ds.tangle(i)
+        out["tangle", i] = (tangle.order, tangle.signature)
+        for x in low[tangle.order]:
+            out["membership", i, x] = ds.membership(i, x)
+        for q in range(tangle.order + 1):
+            out["find", i, q] = ds.find(q, tangle.member)
+    return out
+
+
+def test_concurrent_queries_while_growing():
+    """Queries on built levels, asked while another thread appends the next
+    level, get the serial answers, and len(ds) with its last tangle reads
+    the structure before or after the append: a level's index entries are
+    complete before the level is visible."""
+    k = 2
+    serial_ds = build_structure(edge_boundary_fn(grid3_graph()), k)
+    low = {q: _low_order_sets(serial_ds.oracle, q) for q in range(k + 1)}
+    serial = _ask(serial_ds, k, low)
+
+    def end(ds):
+        return len(ds), ds.tangle(len(ds)).signature
+
+    before = end(serial_ds)
+    after = end(serial_ds.ensure(k + 1))
+    assert before != after
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            ds = build_structure(edge_boundary_fn(grid3_graph()), k)
+            barrier = threading.Barrier(3)
+            grown = threading.Event()
+            results, seen, errors = [], [], []
+
+            def grow():
+                barrier.wait()
+                try:
+                    ds.ensure(k + 1)
+                finally:
+                    grown.set()
+
+            def query():
+                barrier.wait()
+                try:
+                    while True:
+                        last = grown.is_set()
+                        seen.append(end(ds))
+                        results.append(_ask(ds, k, low))
+                        if last:
+                            break
+                except Exception as exc:  # reported below, with the thread's answers
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=grow)]
+            threads += [threading.Thread(target=query) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert errors == []
+            assert all(r == serial for r in results)
+            assert set(seen) <= {before, after}
+            assert end(ds) == after
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_level_built_above_an_empty_one():
