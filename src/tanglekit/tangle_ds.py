@@ -23,9 +23,10 @@ from .errors import DomainError, IntegrityError
 from .tangles import (
     Tangle,
     _context,
+    _descents,
+    _publish_table,
     has_tangle_of_order,
     leftmost_tangle_separation,
-    minimal_member_in_lattice,
 )
 
 FORMAT_NAME = "tanglekit-tangle-structure"
@@ -51,18 +52,16 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     def splitter(path: Tuple[int, ...]) -> Optional[int]:
         # A separator lies in some tangle at this leaf and is avoided by
         # another; candidates are minimal union members per base lattice.
-        # The first hit is taken, so the lattices' order fixes the tree.
+        # The first hit is taken, so the lattices' order fixes the tree.  A
+        # leaf's union is one tangle, so its candidates are that tangle's
+        # least members: they are published as its table.
         ctx = _context(oracle, order, {full & ~p for p in path})
-
-        def union_member(x: int) -> bool:
-            return ctx.exists((full & ~x,))
-
-        for base in lattices:
-            xstar = minimal_member_in_lattice(oracle, union_member, base)
-            if xstar is None:
-                continue
-            if ctx.exists((xstar,)):
+        found = []
+        for xstar in _descents(oracle, ctx, lattices):
+            if xstar is not None and ctx.exists((xstar,)):
                 return xstar
+            found.append(xstar)
+        _publish_table(oracle, order, path, lattices, found)
         return None
 
     def grow(path: Tuple[int, ...]):

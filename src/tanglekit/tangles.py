@@ -7,11 +7,16 @@ nonempty intersection; and no singleton is a member.
 
 Tangles are represented compactly: a ``Tangle`` is a declared order plus a
 *signature*, a tuple of committed member sets such that exactly one tangle
-of that order contains them all.  Membership of any further set X is then a
-single avoidance query: X is a member iff some tangle of the order contains
-signature + {X}, i.e. avoids the complements of all of these.  The
-context that avoids the signature's complements is bound to the ``Tangle``
-once, so each membership query is one ``AvoidContext.exists`` call.
+of that order contains them all.  Its members are read from its
+least-member table.  Within a base lattice L the tangle's members form the
+principal filter above one least member m_L, so a set X of order below the
+tangle's is a member iff m_L lies inside X, for any lattice L of X's order
+that holds X (Birkhoff).  The table holds m_L, or None where the tangle
+meets L in no set, for every lattice of order below the tangle's.  The
+structure build fills it at the tangle's leaf from descents it has already
+made; any other tangle fills it on first use with the same descents, asking
+the avoidance context that avoids its signature's complements.  After that,
+membership and the leftmost separations read the table and ask no fixpoint.
 
 The avoidance decision itself follows the dual decomposition search: it
 maintains, for every lattice L(B) of a base B of bounded order, a growing
@@ -40,8 +45,14 @@ from .separations import box_min
 
 @dataclass(frozen=True)
 class Tangle:
-    """A tangle fixed by (order, signature) over a connectivity oracle; its
-    first membership query binds the avoidance context all of them use."""
+    """A tangle fixed by (order, signature) over a connectivity oracle.
+
+    ``_table`` is its least-member table: row q holds its least member in
+    each lattice of order q, in the order ``_order_lattices`` lists them,
+    or None where it has no member there.  The structure build deposits the
+    table; a tangle that finds none descends each lattice once, asking
+    membership of the avoidance context bound in ``_avoid``.
+    """
 
     oracle: ConnectivityOracle
     order: int
@@ -53,17 +64,40 @@ class Tangle:
         full = self.oracle.ground.full_mask
         return _context(self.oracle, self.order, {full & ~s for s in self.signature})
 
+    @cached_property
+    def _table(self) -> Tuple[Tuple[Optional[int], ...], ...]:
+        # Threads racing to fill it keep the one table _publish_table publishes.
+        oracle = self.oracle
+        hit = oracle.cache("least_members").get((self.order, self.signature))
+        if hit is not None:
+            return hit
+        if not self.order:
+            return ()
+        lattices = enumerate_lattices(oracle, self.order - 1)
+        found = list(_descents(oracle, self._avoid, lattices))
+        return _publish_table(oracle, self.order, self.signature, lattices, found)
+
+    @cached_property
+    def _held(self) -> dict:
+        return self.oracle.cache("held")
+
     def member(self, x: int) -> bool:
         """Decide whether x belongs to this tangle.
 
         Only defined for kappa(x) < order; asking about higher-order sets is
-        an error, not a False.
+        an error, not a False.  x is a member iff the tangle's least member
+        in the lattice that holds x exists and lies inside x.
         """
-        if self.oracle.evaluate(x) >= self.order:
+        at = self._held.get(x)
+        if at is None:
+            at = _lattice_holding(self.oracle, x, self.order - 1)
+        q, i = at
+        if q >= self.order:
             raise OutOfOrderError(
                 f"membership undefined: set has order >= tangle order {self.order}"
             )
-        return self._avoid.exists((self.oracle.ground.full_mask & ~x,))
+        least = self._table[q][i]
+        return least is not None and not least & ~x
 
     def __repr__(self) -> str:
         sig = ",".join(format(s, "x") for s in self.signature)
@@ -346,6 +380,61 @@ def minimal_member_in_lattice(
 
 
 # ---------------------------------------------------------------------------
+# Least-member tables.
+
+
+def _descents(oracle: ConnectivityOracle, ctx: AvoidContext, lattices: Iterable[Base]):
+    """For each lattice in turn, an inclusion-minimal member of the union
+    of the tangles that ``ctx`` admits; for one tangle, its least member."""
+    full = oracle.ground.full_mask
+
+    def member(x: int) -> bool:
+        return ctx.exists((full & ~x,))
+
+    for base in lattices:
+        yield minimal_member_in_lattice(oracle, member, base)
+
+
+def _publish_table(oracle: ConnectivityOracle, order: int, signature, lattices, found) -> tuple:
+    """Publish the table of the tangle (order, signature) from ``found``,
+    its least members in ``lattices = enumerate_lattices(oracle, order -
+    1)``; return the one the oracle keeps.  Row q takes the order-q
+    entries: every ``enumerate_lattices`` list holds the order-q lattices
+    in one relative order, so the row lines up with ``_order_lattices``.
+    """
+    rows: List[List[Optional[int]]] = [[] for _ in range(order)]
+    for base, least in zip(lattices, found):
+        rows[base.order].append(least)
+    table = tuple(tuple(row) for row in rows)
+    return oracle.cache("least_members").setdefault((order, signature), table)
+
+
+def _order_lattices(oracle: ConnectivityOracle, q: int, k: int) -> Tuple[Tuple[int, int], ...]:
+    """The lattices of order q as (bottom, top) pairs, read from
+    ``enumerate_lattices(oracle, k)`` for some k >= q; cached per oracle."""
+    cache = oracle.cache("order_lattices")
+    hit = cache.get(q)
+    if hit is None:
+        full = oracle.ground.full_mask
+        found = tuple((b.b1, full & ~b.b2) for b in enumerate_lattices(oracle, k) if b.order == q)
+        hit = cache.setdefault(q, found)
+    return hit
+
+
+def _lattice_holding(oracle: ConnectivityOracle, x: int, k: int) -> Tuple[int, Optional[int]]:
+    """(kappa(x), i): for kappa(x) <= k, i is the ``_order_lattices`` index
+    of the first lattice holding x (a base for x has one), kept in the
+    oracle's "held" cache; None above k."""
+    q = oracle.evaluate(x)
+    if q > k:
+        return q, None
+    for i, (bottom, top) in enumerate(_order_lattices(oracle, q, k)):
+        if not bottom & ~x and not x & ~top:
+            return oracle.cache("held").setdefault(x, (q, i))
+    raise StructuralError("no base lattice holds the set; kappa is not submodular")
+
+
+# ---------------------------------------------------------------------------
 # Separations between tangles.
 
 
@@ -362,27 +451,10 @@ def comparable(t1: Tangle, t2: Tangle) -> bool:
     return is_extension(t1, t2) or is_extension(t2, t1)
 
 
-def _least_members(tangle: Tangle, q: int) -> Tuple[int, ...]:
-    """The tangle's least members in the order-q lattices of
-    ``enumerate_lattices``, in lattice order; cached per oracle, since they
-    depend only on the tangle and the lattice."""
-    oracle = tangle.oracle
-    cache = oracle.cache("least_members")
-    key = (tangle.order, tangle.signature, q)
-    hit = cache.get(key)
-    if hit is None:
-        lattices = [b for b in enumerate_lattices(oracle, q) if b.order == q]
-        found = [minimal_member_in_lattice(oracle, tangle.member, b) for b in lattices]
-        hit = cache.setdefault(key, tuple(m for m in found if m is not None))
-    return hit
-
-
-def _least_accepted(tangle: Tangle, limit: int, accept: Callable[[int], bool]) -> Optional[int]:
-    """At the first order below ``limit`` where ``accept`` admits some of the
-    tangle's least members, the least of those, which must lie inside every
-    other; None when no order has one."""
-    for q in range(limit):
-        candidates = [m for m in _least_members(tangle, q) if accept(m)]
+def _least_of_first(rows: Iterable[List[int]]) -> Optional[int]:
+    """The least set of the first nonempty row, which must lie inside every
+    other set of that row; None when every row is empty."""
+    for candidates in rows:
         if candidates:
             least = min(candidates, key=lambda m: (m.bit_count(), m))
             if any(least & ~c for c in candidates):
@@ -394,17 +466,20 @@ def _least_accepted(tangle: Tangle, limit: int, accept: Callable[[int], bool]) -
 def leftmost_tangle_separation(t1: Tangle, t2: Tangle) -> Optional[int]:
     """The leftmost minimum (t1, t2)-separation, or None if comparable.
 
-    Scans base orders upward; the least member of t1 in each base lattice
-    of that order is a candidate whenever its complement lies in t2.  The
-    true leftmost separation is the least candidate at the first order
-    where any appear.
+    Scans base orders upward; the least member m of t1 in each base lattice
+    of that order is a candidate whenever its complement lies in t2, that
+    is, whenever m is not in t2: t2 has no member in the lattice, or its
+    least member there does not lie inside m.  The true leftmost separation
+    is the least candidate at the first order where any appear.
     """
     if t1.oracle is not t2.oracle:
         raise DomainError("tangles live on different oracles")
     if comparable(t1, t2):
         return None
-    complement = t1.oracle.ground.complement
-    m = _least_accepted(t1, min(t1.order, t2.order), lambda m: t2.member(complement(m)))
+    m = _least_of_first(
+        [m for m, n in zip(row1, row2) if m is not None and (n is None or n & ~m)]
+        for row1, row2 in zip(t1._table, t2._table)
+    )
     if m is None:
         raise StructuralError("incomparable tangles admit no separation; oracle is not a tangle")
     return m
@@ -415,14 +490,23 @@ def leftmost_tangle_set_separation(tangle: Tangle, x: int) -> Optional[int]:
     member of the tangle disjoint from x.  None if no member avoids x.  The
     tangle's members in a lattice lie above its least member there, so the
     tangle has one disjoint from x iff that least member is."""
-    return _least_accepted(tangle, tangle.order, lambda m: not m & x)
+    return _least_of_first([m for m in row if m is not None and not m & x] for row in tangle._table)
 
 
 def tangle_lattice_bottom(tangle: Tangle, base: Base) -> Optional[int]:
-    """Least member of tangle intersected with L(base); None when empty."""
+    """Least member of tangle intersected with L(base); None when empty.
+    Read from the tangle's table, which holds every base's lattice; a box
+    whose minimizers form no base's lattice is a ``DomainError``."""
     if base.order >= tangle.order:
         return None
-    return minimal_member_in_lattice(tangle.oracle, tangle.member, base)
+    oracle = tangle.oracle
+    r = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
+    if r is None or r[0] != base.order:
+        return None
+    lattices = _order_lattices(oracle, base.order, tangle.order - 1)
+    if r[1:] not in lattices:
+        raise DomainError("the base's box is not the lattice of a base")
+    return tangle._table[base.order][lattices.index(r[1:])]
 
 
 def truncate(tangle: Tangle, order: int) -> Tangle:

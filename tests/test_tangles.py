@@ -23,6 +23,7 @@ from tanglekit import (
     OutOfOrderError,
     build_structure,
     check_axioms,
+    cut_rank_fn,
     edge_boundary_fn,
     empty_tangle,
     exists_tangle_avoiding,
@@ -48,12 +49,15 @@ from tanglekit.oracles import (
     random_instances,
 )
 from tanglekit.separations import box_min
+from tanglekit.tangle_ds import TangleDataStructure
 from tanglekit.tangles import (
     AvoidContext,
+    ExplicitTangle,
     _caterpillar_width,
     _context,
     _greatest_inside,
     _joins,
+    _order_lattices,
 )
 
 
@@ -269,22 +273,28 @@ def test_leftmost_tangle_separation_triforce(triforce):
     assert leftmost_tangle_separation(a, truncate(a, 1)) is None
 
 
-def test_leftmost_tangle_separation_vs_brute(triforce, c5rank, k4):
-    from tanglekit.tangles import ExplicitTangle
+def _fixpoint_tangles(oracle, ds):
+    """Each index's member family, asked of its avoidance context rather
+    than read from its least-member table."""
+    full = oracle.ground.full_mask
+    explicit = {}
+    for i in range(1, len(ds) + 1):
+        tangle = ds.tangle(i)
+        members = frozenset(
+            x
+            for x in range(full + 1)
+            if oracle.evaluate(x) < tangle.order and tangle._avoid.exists((full & ~x,))
+        )
+        explicit[i] = ExplicitTangle(tangle.order, members)
+    return explicit
 
-    for oracle in (triforce.oracle, c5rank, k4):
-        top = max_tangle_order(oracle)
-        ds = build_structure(oracle, top)
-        full = oracle.ground.full_mask
-        explicit = {}
-        for i in range(1, ds.size(top) + 1):
-            tangle = ds.tangle(i)
-            members = frozenset(
-                x
-                for x in range(full + 1)
-                if oracle.evaluate(x) < tangle.order and tangle.member(x)
-            )
-            explicit[i] = ExplicitTangle(tangle.order, members)
+
+def test_leftmost_tangle_separation_vs_brute(triforce, c5rank, k4):
+    oracles = [triforce.oracle, c5rank, k4, two_c5_cut_rank(), k4_cycle_matroid(2)]
+    oracles += [o for seed in range(4) for _, o in random_instances(seed, 10)]
+    for oracle in oracles:
+        ds = build_structure(oracle, max_tangle_order(oracle))
+        explicit = _fixpoint_tangles(oracle, ds)
         for i in explicit:
             for j in explicit:
                 if i == j:
@@ -328,6 +338,17 @@ def test_tangle_lattice_bottom(triforce):
     assert tangle_lattice_bottom(tri1, reverse) is None
     unit = ds.tangle(2)
     assert tangle_lattice_bottom(unit, Base(0, 0, 0)) == triforce.full
+    # Base(0, {e}, 0) is no base: its box holds only the empty set, a
+    # lattice no base has.
+    with pytest.raises(DomainError):
+        tangle_lattice_bottom(unit, Base(0, 1, 0))
+    full = triforce.full
+    for i in range(2, len(ds) + 1):
+        tangle = ds.tangle(i)
+        fixpoint = lambda x, t=tangle: t._avoid.exists((full & ~x,))
+        for base in enumerate_bases(oracle, tangle.order - 1):
+            want = minimal_member_in_lattice(oracle, fixpoint, base)
+            assert tangle_lattice_bottom(tangle, base) == want
 
 
 def _inclusion_minimal(members):
@@ -535,6 +556,58 @@ def test_separations_reuse_least_members(monkeypatch):
     assert not calls
 
 
+def _table_instances():
+    """Makers of fresh oracles: the triforce, the 3x3 grid, C5 and two C5
+    under cut rank, M(K4) + M(K4), and 40 seeded random instances."""
+    makers = [
+        lambda: edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES)),
+        lambda: edge_boundary_fn(grid3_graph()),
+        lambda: cut_rank_fn(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
+        two_c5_cut_rank,
+        lambda: k4_cycle_matroid(2),
+    ]
+    for seed in range(4):
+        count = len(random_instances(seed, 10))
+        makers += [lambda seed=seed, k=k: random_instances(seed, 10)[k][1] for k in range(count)]
+    return makers
+
+
+def test_table_membership_matches_fixpoint():
+    """Every indexed tangle's table answers membership as its avoidance
+    context does, on every set of order below the tangle's."""
+    for make in _table_instances():
+        oracle = make()
+        full = oracle.ground.full_mask
+        ds = build_structure(oracle, max_tangle_order(oracle))
+        for i in range(1, len(ds) + 1):
+            tangle = ds.tangle(i)
+            low = _low_order_sets(oracle, tangle.order)
+            assert [tangle.member(x) for x in low] == [
+                tangle._avoid.exists((full & ~x,)) for x in low
+            ]
+
+
+def test_build_deposits_the_tables_a_loaded_structure_computes():
+    """The build publishes one table per tangle of positive order, and a
+    structure loaded from its document onto a fresh oracle computes the
+    same tables on first use."""
+    for make in _table_instances():
+        oracle = make()
+        ds = build_structure(oracle, max_tangle_order(oracle))
+        deposited = dict(oracle.cache("least_members"))
+        tangles = [ds.tangle(i) for i in range(1, len(ds) + 1)]
+        assert set(deposited) == {(t.order, t.signature) for t in tangles if t.order}
+        fresh = make()
+        loaded = TangleDataStructure.from_json(fresh, ds.to_json())
+        assert not fresh.cache("least_members")
+        for i, tangle in enumerate(tangles, 1):
+            table = loaded.tangle(i)._table
+            assert table == tangle._table == deposited.get((tangle.order, tangle.signature), ())
+            assert [len(row) for row in table] == [
+                len(_order_lattices(oracle, q, tangle.order - 1)) for q in range(tangle.order)
+            ]
+
+
 def test_tangle_count_bound(triforce, p3, k4, c5rank, grid3):
     for oracle in (triforce.oracle, p3, k4, c5rank, grid3):
         n = oracle.ground.n
@@ -685,5 +758,49 @@ def test_concurrent_separations():
                 t.join(timeout=60)
                 assert not t.is_alive()
             assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_table_membership():
+    """Threads asking membership and separations of a freshly loaded
+    structure at once fill its tables concurrently, get the serial answers,
+    and keep one published table per tangle."""
+    doc = build_structure(two_c5_cut_rank(), 2).to_json()
+
+    def answers(ds):
+        oracle = ds.oracle
+        indices = range(1, len(ds) + 1)
+        low = {i: _low_order_sets(oracle, ds.tangle_order(i))[::7] for i in indices}
+        member = {(i, x): ds.membership(i, x) for i in indices for x in low[i]}
+        sep = {(i, j): ds.separation(i, j) for i in indices for j in indices if i != j}
+        return member, sep
+
+    serial = answers(TangleDataStructure.from_json(two_c5_cut_rank(), doc))
+    assert any(serial[0].values()) and any(z is not None for z in serial[1].values())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            oracle = two_c5_cut_rank()
+            ds = TangleDataStructure.from_json(oracle, doc)
+            barrier = threading.Barrier(4)
+            results = []
+
+            def ask():
+                barrier.wait()
+                results.append(answers(ds))
+
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+            published = oracle.cache("least_members")
+            for i in range(2, len(ds) + 1):
+                tangle = ds.tangle(i)
+                assert tangle._table is published[(tangle.order, tangle.signature)]
     finally:
         sys.setswitchinterval(interval)
