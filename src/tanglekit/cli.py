@@ -8,7 +8,8 @@ Instance files are plain text (see FORMATS.md):
 The connectivity function is chosen with --fn; matroid instances require a
 matrix file.  Exit codes: 0 success, 2 verification failure, 3 parse error
 or invalid argument (such as a non-maximal --root-index), 4 size guard
-refusal.  --max-exhaustive (default from TANGLEKIT_MAX_EXHAUSTIVE) bounds only
+refusal.  --max-exhaustive (default from TANGLEKIT_MAX_EXHAUSTIVE, read on
+every call of ``main``) bounds only
 the brute-force references of branchwidth --brute (default 7) and selfcheck
 (default 12), not the exhaustive box scan's guard.
 """
@@ -16,6 +17,7 @@ the brute-force references of branchwidth --brute (default 7) and selfcheck
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -274,12 +276,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tanglekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_guard = os.environ.get("TANGLEKIT_MAX_EXHAUSTIVE")
-    try:
-        default_guard = int(env_guard) if env_guard else None
-    except ValueError:
-        raise ParseError(f"TANGLEKIT_MAX_EXHAUSTIVE must be an integer, got {env_guard!r}")
-
     def common(p):
         p.add_argument("instance", help="instance file (graph or matrix format)")
         p.add_argument("--fn", choices=FN_CHOICES, default=None, help="connectivity function")
@@ -288,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-exhaustive",
             type=int,
-            default=default_guard,
+            default=None,
             help="size guard override (default from TANGLEKIT_MAX_EXHAUSTIVE)",
         )
 
@@ -328,9 +324,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+_parser = functools.cache(make_parser)
+
+
+def _env_guard() -> Optional[int]:
+    raw = os.environ.get("TANGLEKIT_MAX_EXHAUSTIVE")
     try:
-        args = make_parser().parse_args(argv)
+        return int(raw) if raw else None
+    except ValueError:
+        raise ParseError(f"TANGLEKIT_MAX_EXHAUSTIVE must be an integer, got {raw!r}")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command.  The parser is built on the first call and shared;
+    TANGLEKIT_MAX_EXHAUSTIVE is read on every call, and an explicit
+    --max-exhaustive wins over it."""
+    try:
+        guard = _env_guard()
+        args = _parser().parse_args(argv)
+        if args.max_exhaustive is None:
+            args.max_exhaustive = guard
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -688,6 +688,8 @@ def directed_decomposition(
 
     Reads the canonical undirected decomposition's maximal tangles and their
     nodes, roots it at the chosen tangle's node and keeps only tangle nodes.
+    Every root shares one canonical decomposition per order, kept in the
+    oracle's "canonical" cache.
     Each non-root node's cone is the leftmost minimum separation of its
     tangle toward the outside of its undirected cone, and its parent is the
     nearest tangle ancestor in the rooted undirected tree whose cone contains
@@ -695,7 +697,10 @@ def directed_decomposition(
     always exists.
     """
     _check_order(order)
-    base = canonical_decomposition(oracle, order)
+    cache = oracle.cache("canonical")
+    base = cache.get(order)
+    if base is None:
+        base = cache.setdefault(order, canonical_decomposition(oracle, order))
     if root_index not in base.tangles:
         raise DomainError(f"index {root_index} is not a maximal tangle at order {order}")
     full = oracle.ground.full_mask

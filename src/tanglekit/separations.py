@@ -20,7 +20,9 @@ upward until a group meets the box.  It reads at most as many sets as the
 box has, then falls back to walking the box's subsets.  The cut-rank and
 matroid oracles tabulate kappa in one GF(2) sweep on their first scan read,
 so even their first scan walks the groups; custom kappa and contractions
-fill their memo lazily, through the scans themselves.
+fill their memo lazily, through the scans themselves.  ``exhaustive_joins``
+reads a whole lattice's join table for these oracles the same way, in one
+pass over its members.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .connectivity import FREE_LIMIT, ConnectivityOracle
+from .connectivity import FREE_LIMIT, ConnectivityOracle, iter_bits
 from .errors import DomainError, SizeGuardError
 
 
@@ -75,6 +77,45 @@ def _exhaustive_box_min(oracle: ConnectivityOracle, lo: int, hi: int):
             right |= z
         sub = (sub - 1) & free
     return best, left, right
+
+
+def exhaustive_joins(oracle: ConnectivityOracle, lo: int, hi: int, value: int) -> set:
+    """The join table of the lattice of minimizers with bottom lo, top hi
+    and order ``value``: for each u in hi - lo, the least member holding u,
+    the intersection of the members that hold it.
+
+    The members, the sets of that kappa value in [lo, hi], are read once:
+    the ``levels()`` group of ``value`` inside the box while that group is
+    no larger than the box, else one scan of the box, guarded like
+    ``_exhaustive_box_min``.
+    """
+    free = hi & ~lo
+    nfree = free.bit_count()
+    if nfree > FREE_LIMIT:
+        raise SizeGuardError(
+            f"exhaustive minimizer guard: {nfree} free positions exceeds {FREE_LIMIT}"
+        )
+    members = None
+    for v, sets in oracle.levels() or ():
+        if v == value:
+            if len(sets) <= 1 << nfree:
+                pin = lo | (oracle.ground.full_mask & ~hi)
+                members = [z for z in sets if z & pin == lo]
+            break
+    if members is None:
+        # lo itself holds no u, so the scan skips it.
+        get = oracle.value_getter()
+        members = []
+        sub = free
+        while sub:
+            if get(lo | sub) == value:
+                members.append(lo | sub)
+            sub = (sub - 1) & free
+    least = dict.fromkeys(iter_bits(free), hi)
+    for z in members:
+        for u in iter_bits(z & free):
+            least[u] &= z
+    return set(least.values())
 
 
 def box_min(oracle: ConnectivityOracle, lo: int, hi: int):

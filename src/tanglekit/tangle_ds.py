@@ -49,13 +49,12 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
     lattices = enumerate_lattices(oracle, order - 1)
     paths: List[Tuple[int, ...]] = []
 
-    def splitter(path: Tuple[int, ...]) -> Optional[int]:
+    def splitter(path: Tuple[int, ...], ctx) -> Optional[int]:
         # A separator lies in some tangle at this leaf and is avoided by
         # another; candidates are minimal union members per base lattice.
         # The first hit is taken, so the lattices' order fixes the tree.  A
         # leaf's union is one tangle, so its candidates are that tangle's
         # least members: they are published as its table.
-        ctx = _context(oracle, order, {full & ~p for p in path})
         found = []
         for xstar in _descents(oracle, ctx, lattices):
             if xstar is not None and ctx.exists((xstar,)):
@@ -64,13 +63,16 @@ def _build_level(oracle: ConnectivityOracle, order: int) -> _Level:
         _publish_table(oracle, order, path, lattices, found)
         return None
 
-    def grow(path: Tuple[int, ...]):
-        sep = splitter(path)
+    def grow(path: Tuple[int, ...], parent=None):
+        # A child's context avoids one set more than its parent's, so it
+        # starts from the parent's fixpoint.
+        ctx = _context(oracle, order, {full & ~p for p in path}, parent)
+        sep = splitter(path, ctx)
         if sep is None:
             paths.append(path)
             return ("leaf", len(paths) - 1)
-        contains = grow(path + (sep,))
-        avoids = grow(path + (full & ~sep,))
+        contains = grow(path + (sep,), ctx)
+        avoids = grow(path + (full & ~sep,), ctx)
         return ("split", sep, contains, avoids)
 
     return _Level(order, grow(()), paths)

@@ -27,7 +27,10 @@ member of L(B) inside a window joins mu.  The windows are each singleton
 (no singleton is a member), each avoided set, and every union of two mu
 values.  Each lattice is read through its join table, the least member
 holding each element: the greatest member inside a window is the bottom
-plus every table entry inside it, so the fixpoint reads no box.
+plus every table entry inside it, so the fixpoint reads no box.  Lattices
+are grouped by bottom, and a window skips every group whose bottom it does
+not hold.  The structure build splits a node's question by one avoided set
+at a time, so each child's context starts from its parent's fixpoint.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from .bases import Base, enumerate_lattices
 from .connectivity import FREE_LIMIT, ConnectivityOracle, bits_list, iter_bits
 from .errors import DomainError, OutOfOrderError, SizeGuardError, StructuralError
-from .separations import box_min
+from .separations import box_min, exhaustive_joins
 
 
 @dataclass(frozen=True)
@@ -147,20 +150,46 @@ class AvoidContext:
     in ``seen``, from which extra queries also start, and each round forms
     only the unions that involve a mu value grown in the round before.  A
     window that does not contain a lattice's bottom holds none of its
-    members (the lattice is closed under intersection), and one inside mu
-    adds nothing; neither reads the table.
+    members (the lattice is closed under intersection), and one whose part
+    inside the lattice's top lies in mu adds nothing, since the greatest
+    member inside it lies there too; neither reads the table.  ``groups``
+    holds the lattices by bottom, as (bottom, [(i, top, joins), ...])
+    pairs, so the bottom test is made once per distinct bottom.
+
+    A ``parent`` must have the same order and avoid a subfamily of the
+    context's avoided sets.  When it admits a tangle, the context starts
+    from a copy of the parent's ``mu`` and ``seen``, shares its lattices
+    and groups, and runs only its own further avoided sets as the first
+    round.  That reaches the same least fixpoint, since the parent's
+    fixpoint lies below it and no window needs to be checked twice.
     """
 
-    def __init__(self, oracle: ConnectivityOracle, order: int, avoids: Iterable[int] = ()):
+    def __init__(
+        self,
+        oracle: ConnectivityOracle,
+        order: int,
+        avoids: Iterable[int] = (),
+        parent: Optional[AvoidContext] = None,
+    ):
         self.oracle = oracle
         self.order = order
         self.full = oracle.ground.full_mask
-        self.lattices: List[Base] = enumerate_lattices(oracle, order - 1)
-        self.tables = [(base.b1, _joins(oracle, base)) for base in self.lattices]
-        singletons = [1 << u for u in range(oracle.ground.n)]
-        self.mu = [0] * len(self.lattices)
-        self.seen: set = set()
-        self._answer = not self._run(self.mu, self.seen, [*singletons, *avoids])
+        self.avoids = frozenset(avoids)
+        if parent is not None and parent._answer:
+            self.lattices, self.groups = parent.lattices, parent.groups
+            self.mu, self.seen = list(parent.mu), set(parent.seen)
+            windows: Iterable[int] = self.avoids - parent.avoids
+        else:
+            self.lattices = enumerate_lattices(oracle, order - 1)
+            groups: dict = {}
+            for i, base in enumerate(self.lattices):
+                top = self.full & ~base.b2
+                groups.setdefault(base.b1, []).append((i, top, _joins(oracle, base)))
+            self.groups = list(groups.items())
+            self.mu = [0] * len(self.lattices)
+            self.seen = set()
+            windows = [*(1 << u for u in range(oracle.ground.n)), *self.avoids]
+        self._answer = not self._run(self.mu, self.seen, windows)
         self._extra_cache: dict = {}
 
     def _run(self, mu, seen: set, windows: Iterable[int]) -> bool:
@@ -171,19 +200,22 @@ class AvoidContext:
         mu's values are all in ``seen``, and none is the ground set.  So a
         round need only form the unions that involve a value it grew.
         """
-        tables = self.tables
+        groups = self.groups
         windows = set(windows) - seen
         while windows:
             seen |= windows
             grown = set()
             for w in sorted(windows):
-                for i, (bottom, joins) in enumerate(tables):
-                    if bottom & ~w or not w & ~mu[i]:
+                for bottom, lattices in groups:
+                    if bottom & ~w:
                         continue
-                    x = _greatest_inside(bottom, joins, w)
-                    if x & ~mu[i]:
-                        mu[i] |= x
-                        grown.add(i)
+                    for i, top, joins in lattices:
+                        if not w & top & ~mu[i]:
+                            continue
+                        x = _greatest_inside(bottom, joins, w)
+                        if x & ~mu[i]:
+                            mu[i] |= x
+                            grown.add(i)
             values = {v for v in mu if v}
             pairs = {a | b for a in {mu[i] for i in grown} for b in values}
             if self.full in pairs:
@@ -205,12 +237,20 @@ class AvoidContext:
         return answer
 
 
-def _context(oracle: ConnectivityOracle, order: int, avoids: Iterable[int]) -> AvoidContext:
+def _context(
+    oracle: ConnectivityOracle,
+    order: int,
+    avoids: Iterable[int],
+    parent: Optional[AvoidContext] = None,
+) -> AvoidContext:
+    """The oracle's one context for (order, avoids), built on a miss from
+    ``parent`` when given (see ``AvoidContext``) and published with
+    setdefault, so racing threads agree on one."""
     cache = oracle.cache("avoid_ctx")
     key = (order, frozenset(avoids))
     ctx = cache.get(key)
     if ctx is None:
-        ctx = cache.setdefault(key, AvoidContext(oracle, order, key[1]))
+        ctx = cache.setdefault(key, AvoidContext(oracle, order, key[1], parent))
     return ctx
 
 
@@ -319,16 +359,22 @@ def _joins(oracle: ConnectivityOracle, base: Base) -> Tuple[int, ...]:
     where J(u) is the least member of the lattice that holds u.
 
     J(u) is the leftmost minimizer of the box [bottom + u, top], whose
-    minimum is the lattice's order because it holds the top.  Every member
-    X is the bottom plus the J(u) of its elements u outside the bottom, so
-    the table fixes the lattice (Birkhoff).  Cached per oracle under the
-    base.
+    minimum is the lattice's order because it holds the top, and so the
+    intersection of the members that hold u.  Every member X is the bottom
+    plus the J(u) of its elements u outside the bottom, so the table fixes
+    the lattice (Birkhoff).  An oracle with a box minimizer (the graph
+    functions) answers one box per element; any other reads the lattice's
+    members once, by ``separations.exhaustive_joins``.  Cached per oracle
+    under the base.
     """
     cache = oracle.cache("joins")
     hit = cache.get(base)
     if hit is None:
-        _, bottom, top = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
-        found = {box_min(oracle, bottom | 1 << u, top)[1] for u in iter_bits(top & ~bottom)}
+        value, bottom, top = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
+        if oracle.minimizer is None:
+            found = exhaustive_joins(oracle, bottom, top, value)
+        else:
+            found = {box_min(oracle, bottom | 1 << u, top)[1] for u in iter_bits(top & ~bottom)}
         hit = cache.setdefault(base, tuple(found))
     return hit
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tanglekit import connectivity
+from tanglekit import cli, connectivity
 from tanglekit.cli import main, parse_instance
 
 from conftest import TRIFORCE_EDGES
@@ -242,6 +242,23 @@ def test_env_var_size_guard_not_an_integer(p3_path, monkeypatch, capsys):
     monkeypatch.setenv("TANGLEKIT_MAX_EXHAUSTIVE", "abc")
     assert main(["tangles", "--order", "1", p3_path]) == 3
     assert "TANGLEKIT_MAX_EXHAUSTIVE" in capsys.readouterr().err
+
+
+def test_env_var_size_guard_read_on_every_call(p3_path, monkeypatch, capsys):
+    """One process builds one parser, and each call honours the
+    environment it runs in; an explicit --max-exhaustive wins."""
+    monkeypatch.setenv("TANGLEKIT_MAX_EXHAUSTIVE", "7")
+    assert main(["branchwidth", "--brute", p3_path]) == 0
+    assert "brute-force branch width: 1" in capsys.readouterr().out
+    monkeypatch.setenv("TANGLEKIT_MAX_EXHAUSTIVE", "0")
+    assert main(["branchwidth", "--brute", p3_path]) == 4
+    assert "size guard" in capsys.readouterr().err
+    assert main(["branchwidth", "--brute", "--max-exhaustive", "7", p3_path]) == 0
+    assert "brute-force branch width: 1" in capsys.readouterr().out
+    monkeypatch.setenv("TANGLEKIT_MAX_EXHAUSTIVE", "abc")
+    assert main(["tangles", "--order", "1", p3_path]) == 3
+    assert "TANGLEKIT_MAX_EXHAUSTIVE" in capsys.readouterr().err
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_decompose_rejects_negative_order(triforce_path, capsys):

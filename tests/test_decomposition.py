@@ -482,6 +482,31 @@ def test_directed_reattaches_escaping_cones(monkeypatch):
         assert sorted(dtd.children[dtd.root]) == sorted(set(dtd.nodes()) - {dtd.root})
 
 
+def test_directed_roots_share_one_canonical_decomposition(monkeypatch):
+    """The directed decompositions of all roots of the four-K4 chain compute
+    the canonical decomposition once, and each equals the one computed on a
+    fresh oracle."""
+    calls = []
+    compute = decomposition.canonical_decomposition
+
+    def counting(oracle, order):
+        calls.append(order)
+        return compute(oracle, order)
+
+    monkeypatch.setattr(decomposition, "canonical_decomposition", counting)
+    oracle = chain_k4_vertex_cut(4)
+    roots = maximal_indices(build_structure(oracle, 3), 3)
+    assert len(roots) == 4
+    shared = [directed_decomposition(oracle, 3, root) for root in roots]
+    assert calls == [3]
+    for root, dtd in zip(roots, shared):
+        fresh = directed_decomposition(chain_k4_vertex_cut(4), 3, root)
+        assert (dtd.root, dtd.parent, dtd.children, dtd.gamma) == (
+            fresh.root, fresh.parent, fresh.children, fresh.gamma
+        )
+        assert dtd.tau == fresh.tau
+
+
 def test_directed_rejects_non_maximal_root(triforce):
     with pytest.raises(DomainError):
         directed_decomposition(triforce.oracle, 2, 2)  # the order-1 tangle is extended

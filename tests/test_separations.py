@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import K4_EDGES, TRIFORCE_EDGES, chain_k4_vertex_cut, grid3_graph, k4_cycle_matroid
+from conftest import (
+    K4_EDGES,
+    TRIFORCE_EDGES,
+    chain_k4_vertex_cut,
+    grid3_graph,
+    k4_cycle_matroid,
+    two_c5_cut_rank,
+)
 from tanglekit import (
     ConnectivityOracle,
     DomainError,
@@ -22,12 +29,16 @@ from tanglekit import (
     rightmost_min_separation,
     vertex_cut_fn,
 )
+from tanglekit.tangles import _joins
 from tanglekit.oracles import (
     brute_force_leftmost_in_box,
     brute_force_leftmost_separation,
     permuted_oracle,
     random_instances,
 )
+from tanglekit.bases import enumerate_lattices
+from tanglekit.connectivity import iter_bits
+from tanglekit.decomposition import canonical_decomposition, contract_at
 from tanglekit.separations import (
     _exhaustive_box_min,
     box_min,
@@ -451,3 +462,60 @@ def test_concurrent_tables_are_shared():
             assert oracle.calls == 1 << oracle.ground.n
     finally:
         sys.setswitchinterval(interval)
+
+
+def _box_read_joins(oracle, base):
+    """The join table of L(base) by one box read per element: J(u) is the
+    leftmost minimizer of [bottom + u, top]."""
+    _, bottom, top = box_min(oracle, base.b1, oracle.ground.complement(base.b2))
+    return {box_min(oracle, bottom | 1 << u, top)[1] for u in iter_bits(top & ~bottom)}
+
+
+def _contraction_makers():
+    """Makers of fresh contraction oracles, one per node with neighbours of
+    the canonical trees of the triforce at order 2 and the three-K4 chain
+    at order 3."""
+    makers = []
+    triforce = edge_boundary_fn(Graph.from_edges(7, TRIFORCE_EDGES))
+    for oracle, order in [(triforce, 2), (chain_k4_vertex_cut(3), 3)]:
+        td = canonical_decomposition(oracle, order).td
+        makers += [
+            lambda oracle=oracle, td=td, t=t: contract_at(oracle, td, t).oracle
+            for t in td.nodes()
+            if td.adj[t]
+        ]
+    return makers
+
+
+def test_one_scan_join_tables_match_box_reads():
+    """Without a minimizer, a join table comes from one read of the
+    lattice's members.  It equals the per-element box reads on every
+    lattice of order at most 2: cut rank and the matroids read the kappa
+    group of the lattice's order, and fresh contractions and lazy custom
+    kappa, one oracle per lattice so that the memo is not complete yet,
+    scan the lattice (a memo still incomplete afterwards was incomplete
+    during the read)."""
+    grouped = [
+        cut_rank_fn(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])),
+        two_c5_cut_rank(),
+        k4_cycle_matroid(2),
+    ]
+    grouped += [o for seed in range(4) for _, o in random_instances(seed, 10) if o.minimizer is None]
+    for oracle in grouped:
+        for base in enumerate_lattices(oracle, 2):
+            assert oracle.levels() is not None
+            assert set(_joins(oracle, base)) == _box_read_joins(oracle, base)
+    makers = _contraction_makers()
+    makers += [lambda: _lazy(two_c5_cut_rank()), lambda: _lazy(k4_cycle_matroid(2))]
+    makers += [lambda o=o: _lazy(o) for seed in range(4) for _, o in random_instances(seed, 10)]
+    scanned = total = 0
+    for make in makers:
+        reference = make()
+        for base in enumerate_lattices(reference, 2):
+            oracle = make()
+            assert oracle.minimizer is None
+            found = set(_joins(oracle, base))
+            scanned += oracle.levels() is None
+            total += 1
+            assert found == _box_read_joins(reference, base)
+    assert scanned > total // 2, (scanned, total)

@@ -703,6 +703,65 @@ def test_warm_exists_matches_cold_context(triforce, k4):
                 assert ctx.exists(extras) == AvoidContext(oracle, order, extras).exists()
 
 
+def test_split_children_match_cold_contexts():
+    """Every context a structure build leaves, split children started from
+    their parent's fixpoint included, has the mu values and answers of a
+    cold context for its (order, avoids) key."""
+    warm = 0
+    for make in _table_instances():
+        oracle = make()
+        full = oracle.ground.full_mask
+        build_structure(oracle, 3)
+        for (order, avoids), ctx in dict(oracle.cache("avoid_ctx")).items():
+            cold = AvoidContext(oracle, order, avoids)
+            assert ctx.mu == cold.mu and ctx.seen >= set(avoids)
+            assert ctx.exists() == cold.exists()
+            low = _low_order_sets(oracle, order)[::5]
+            assert [ctx.exists((full & ~x,)) for x in low] == [cold.exists((full & ~x,)) for x in low]
+            warm += len(avoids) > 0
+    assert warm
+
+
+def test_concurrent_build_publishes_one_context_per_leaf():
+    """A build races threads that load its structure onto the same fresh
+    oracle and bind every leaf's avoidance context: all threads bind the
+    one context published for each key, and it equals a cold one."""
+    doc = build_structure(two_c5_cut_rank(), 2).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            oracle = two_c5_cut_rank()
+            full = oracle.ground.full_mask
+            barrier = threading.Barrier(4)
+            results = []
+
+            def bind(load):
+                barrier.wait()
+                if load:
+                    ds = TangleDataStructure.from_json(oracle, doc)
+                else:
+                    ds = build_structure(oracle, 2)
+                tangles = [ds.tangle(i) for i in range(1, len(ds) + 1) if ds.tangle_order(i)]
+                results.append({(t.order, t.signature): t._avoid for t in tangles})
+
+            threads = [threading.Thread(target=bind, args=(k % 2,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 4
+            cache = oracle.cache("avoid_ctx")
+            for (order, signature), ctx in results[0].items():
+                key = (order, frozenset(full & ~s for s in signature))
+                assert all(r[(order, signature)] is ctx for r in results)
+                assert cache[key] is ctx
+                assert ctx.mu == AvoidContext(oracle, order, key[1]).mu
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_concurrent_context_is_shared():
     """Threads racing for one fresh oracle's avoidance context share one."""
     interval = sys.getswitchinterval()
